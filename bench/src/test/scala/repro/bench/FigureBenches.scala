@@ -6,9 +6,7 @@ import repro.benchrun.Experiments
 /** Fig. 9 — QueryER vs the Batch Approach over the SP sweep Q1–Q5. */
 class Fig9QueryErVsBaBench extends SparkSpec {
   test("Fig 9: QueryER outperforms BA, converging as selectivity grows") {
-    val rows = Experiments.fig9(spark)
-    Experiments.save("fig9",
-      Experiments.render("Fig 9 — QueryER vs BA (TT and comparisons, Q1–Q5)", rows))
+    val rows = Experiments.run(spark, "fig9")
     val m = rows.map(_.toMap)
     // QueryER never executes more comparisons than the batch approach
     for (r <- m)
@@ -25,9 +23,7 @@ class Fig9QueryErVsBaBench extends SparkSpec {
 /** Fig. 10 — scalability of Q9 over growing |E|. */
 class Fig10ScalabilityBench extends SparkSpec {
   test("Fig 10: Q9 scales sub-linearly in |E|") {
-    val rows = Experiments.fig10(spark)
-    Experiments.save("fig10",
-      Experiments.render("Fig 10 — Q9 over PPL200K–2M and OAGP200K–2M", rows))
+    val rows = Experiments.run(spark, "fig10")
     val m = rows.map(_.toMap)
     for (family <- Seq("PPL", "OAGP")) {
       val fam = m.filter(_("E").startsWith(family))
@@ -43,9 +39,7 @@ class Fig10ScalabilityBench extends SparkSpec {
 /** Fig. 11 — the Link Index under consecutive overlapping queries. */
 class Fig11LinkIndexBench extends SparkSpec {
   test("Fig 11: with LI, consecutive overlapping queries get cheaper") {
-    val rows = Experiments.fig11(spark)
-    Experiments.save("fig11",
-      Experiments.render("Fig 11 — Q10–Q13 with and without LI (OAGP2M)", rows))
+    val rows = Experiments.run(spark, "fig11")
     val m = rows.map(_.toMap)
     // with the LI, later queries compare only the delta; without it,
     // every query pays for its full QE
@@ -60,9 +54,7 @@ class Fig11LinkIndexBench extends SparkSpec {
 /** Fig. 12 — AES vs NES vs BA on the SPJ queries Q6/Q7. */
 class Fig12PlannerBench extends SparkSpec {
   test("Fig 12: the cost-based planner wins on SPJ queries") {
-    val rows = Experiments.fig12(spark)
-    Experiments.save("fig12",
-      Experiments.render("Fig 12 — AES vs NES vs BA (Q6a/b, Q7a/b)", rows))
+    val rows = Experiments.run(spark, "fig12")
     val m = rows.map(_.toMap)
     for (r <- m) {
       assert(r("AES Comp.").toLong <= r("NES Comp.").toLong,
@@ -76,9 +68,7 @@ class Fig12PlannerBench extends SparkSpec {
 /** Fig. 13 — AES vs NES scalability on Q8a/b. */
 class Fig13ScalabilityJoinBench extends SparkSpec {
   test("Fig 13: AES vs NES scale sub-linearly on growing joins") {
-    val rows = Experiments.fig13(spark)
-    Experiments.save("fig13",
-      Experiments.render("Fig 13 — Q8a/b over growing PPL/OAGP", rows))
+    val rows = Experiments.run(spark, "fig13")
     val m = rows.map(_.toMap)
     for (r <- m)
       assert(r("AES Comp.").toLong <= r("NES Comp.").toLong, s"AES regressed: $r")

@@ -8,9 +8,7 @@ import repro.benchrun.Experiments
   */
 class Table5Bench extends SparkSpec {
   test("Table 5: cleaning order determines the executed comparisons") {
-    val rows = Experiments.table5(spark)
-    Experiments.save("table5",
-      Experiments.render("Table 5 — Exec. Comp. based on Cleaning Order", rows))
+    val rows = Experiments.run(spark, "table5")
     val totals = rows.map(_.toMap.apply("Total").toLong)
     assert(totals.forall(_ > 0))
     // the cleaning order changes the executed-comparison split — the
@@ -24,9 +22,7 @@ class Table5Bench extends SparkSpec {
 /** Table 6 — total-time breakdown of Q5 on DSD and OAP. */
 class Table6Bench extends SparkSpec {
   test("Table 6: TT breakdown on DSD and OAP for Q5") {
-    val rows = Experiments.table6(spark)
-    Experiments.save("table6",
-      Experiments.render("Table 6 — TT breakdown on DSD and OAP for Q5", rows))
+    val rows = Experiments.run(spark, "table6")
     assert(rows.size == 3) // DSD, OAP + our OAGP2M trend row
     // resolution + meta-blocking + block-join must be a visible share of TT
     for (r <- rows.map(_.toMap))
@@ -37,9 +33,7 @@ class Table6Bench extends SparkSpec {
 /** Table 7 — dataset characteristics of every generated dataset. */
 class Table7Bench extends SparkSpec {
   test("Table 7: dataset characteristics") {
-    val rows = Experiments.table7(spark)
-    Experiments.save("table7",
-      Experiments.render("Table 7 — |E|, |L_E|, |A|, |TBI| per dataset", rows))
+    val rows = Experiments.run(spark, "table7")
     val byName = rows.map(r => r.toMap.apply("E") -> r.toMap).toMap
     // schema widths match the paper's Table 7
     assert(byName("DSD")("|A|") == "4")
@@ -57,9 +51,7 @@ class Table7Bench extends SparkSpec {
 /** Table 8 — meta-blocking configurations: time and PC for Q1/Q5. */
 class Table8Bench extends SparkSpec {
   test("Table 8: M-B configurations for Q1 and Q5 on PPL1M / OAGP1M") {
-    val rows = Experiments.table8(spark)
-    Experiments.save("table8",
-      Experiments.render("Table 8 — M-B configurations (PPL1M / OAGP1M)", rows))
+    val rows = Experiments.run(spark, "table8")
     assert(rows.size == 6)
     val byKey = rows.map(r => (r.toMap.apply("Query"), r.toMap.apply("Method")) -> r.toMap).toMap
     def time(q: String, m: String) = byKey((q, m))("Time (s)").split(" / ")(0).toDouble

@@ -17,116 +17,26 @@ object JobSession {
       .getOrCreate()
 }
 
-/** Table 5 — executed comparisons by cleaning order (motivating example). */
-object Table5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("table5")
-    Experiments.save("table5",
-      Experiments.render("Table 5 — Exec. Comp. based on Cleaning Order",
-        Experiments.table5(spark)))
-    spark.stop()
-  }
-}
-
-/** Table 6 — TT breakdown of Q5 on DSD and OAP. */
-object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("table6")
-    Experiments.save("table6",
-      Experiments.render("Table 6 — TT breakdown on DSD and OAP for Q5",
-        Experiments.table6(spark)))
-    spark.stop()
-  }
-}
-
-/** Table 7 — dataset characteristics. */
-object Table7Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("table7")
-    Experiments.save("table7",
-      Experiments.render("Table 7 — |E|, |L_E|, |A|, |TBI| per dataset",
-        Experiments.table7(spark)))
-    spark.stop()
-  }
-}
-
-/** Table 8 — meta-blocking configurations. */
-object Table8Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("table8")
-    Experiments.save("table8",
-      Experiments.render("Table 8 — M-B configurations (PPL1M / OAGP1M)",
-        Experiments.table8(spark)))
-    spark.stop()
-  }
-}
-
-/** Fig. 9 — QueryER vs BA on the SP sweep. */
-object Fig9Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("fig9")
-    Experiments.save("fig9",
-      Experiments.render("Fig 9 — QueryER vs BA (TT and comparisons, Q1–Q5)",
-        Experiments.fig9(spark)))
-    spark.stop()
-  }
-}
-
-/** Fig. 10 — Q9 scalability over growing |E|. */
-object Fig10Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("fig10")
-    Experiments.save("fig10",
-      Experiments.render("Fig 10 — Q9 over PPL200K–2M and OAGP200K–2M",
-        Experiments.fig10(spark)))
-    spark.stop()
-  }
-}
-
-/** Fig. 11 — the Link-Index effect on consecutive queries. */
-object Fig11Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("fig11")
-    Experiments.save("fig11",
-      Experiments.render("Fig 11 — Q10–Q13 with and without LI (OAGP2M)",
-        Experiments.fig11(spark)))
-    spark.stop()
-  }
-}
-
-/** Fig. 12 — AES vs NES vs BA on Q6/Q7. */
-object Fig12Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("fig12")
-    Experiments.save("fig12",
-      Experiments.render("Fig 12 — AES vs NES vs BA (Q6a/b, Q7a/b)",
-        Experiments.fig12(spark)))
-    spark.stop()
-  }
-}
-
-/** Fig. 13 — AES vs NES scalability on Q8a/b. */
-object Fig13Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("fig13")
-    Experiments.save("fig13",
-      Experiments.render("Fig 13 — Q8a/b over growing PPL/OAGP",
-        Experiments.fig13(spark)))
-    spark.stop()
-  }
-}
-
-/** Interactive demo: registers the motivating example and runs the
+/** `ExperimentJob <name>`: reproduces one paper table or figure (`table5`
+  * … `fig13`, see [[Experiments.byName]]) into `bench_results/<name>.txt`.
+  * `ExperimentJob demo` registers the motivating example and runs the
   * paper's §2 query through `SELECT DEDUP` SQL.
   */
-object DemoJob {
+object ExperimentJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("demo")
+    val names = Experiments.byName.keys.toSeq :+ "demo"
+    val name = args.headOption.filter(names.contains).getOrElse(
+      sys.error(s"usage: ExperimentJob <${names.mkString("|")}>"))
+    val spark = JobSession.get(name)
+    if (name == "demo") demo(spark) else Experiments.run(spark, name)
+    spark.stop()
+  }
+
+  private def demo(spark: SparkSession): Unit = {
     repro.sql.QueryEr.register(spark, "p", repro.data.MotivatingExample.publications(spark))
     repro.sql.QueryEr.register(spark, "v", repro.data.MotivatingExample.venues(spark))
     val out = spark.sql(
       "SELECT DEDUP p.title, p.year, v.rank FROM p INNER JOIN v ON p.venue = v.title WHERE p.venue = 'EDBT'")
     out.show(truncate = false)
-    spark.stop()
   }
 }

@@ -6,9 +6,10 @@ import repro.core._
 import repro.data._
 import repro.metrics.Measures
 import repro.planner._
+import scala.collection.immutable.ListMap
 
 /** Reproduction experiments — one runner per paper table/figure (§9).
-  * Each returns printable rows; benches and spark-submit jobs share them.
+  * Each returns printable rows; benches and the spark-submit job share them.
   *
   * Scale note (DESIGN.md §2): all datasets are 1/100 of the paper's, so
   * our "2M" label corresponds to 20K rows etc. Absolute times differ from
@@ -21,10 +22,36 @@ object Experiments {
   val sizes: Seq[(String, Long)] =
     Datasets.SizeVariants.map { case (n, label) => (label, n) }
 
+  /** Every experiment by name, in paper order: the title its table is
+    * rendered under and its runner. `ExperimentJob <name>` and the bench
+    * suites both run experiments from here.
+    */
+  val byName: ListMap[String, (String, SparkSession => Seq[Seq[(String, String)]])] = ListMap(
+    "table5" -> ("Table 5 — Exec. Comp. based on Cleaning Order", table5 _),
+    "table6" -> ("Table 6 — TT breakdown on DSD and OAP for Q5", table6 _),
+    "table7" -> ("Table 7 — |E|, |L_E|, |A|, |TBI| per dataset", table7 _),
+    "table8" -> ("Table 8 — M-B configurations (PPL1M / OAGP1M)", table8 _),
+    "fig9"   -> ("Fig 9 — QueryER vs BA (TT and comparisons, Q1–Q5)", fig9 _),
+    "fig10"  -> ("Fig 10 — Q9 over PPL200K–2M and OAGP200K–2M", fig10 _),
+    "fig11"  -> ("Fig 11 — Q10–Q13 with and without LI (OAGP2M)", fig11 _),
+    "fig12"  -> ("Fig 12 — AES vs NES vs BA (Q6a/b, Q7a/b)", fig12 _),
+    "fig13"  -> ("Fig 13 — Q8a/b over growing PPL/OAGP", fig13 _),
+  )
+
+  /** Run the named experiment, save its rendered table to
+    * `bench_results/<name>.txt` and return its rows.
+    */
+  def run(spark: SparkSession, name: String): Seq[Seq[(String, String)]] = {
+    val (title, runner) = byName(name)
+    val rows = runner(spark)
+    save(name, render(title, rows))
+    rows
+  }
+
   // ------------------------------------------------------------ rendering
 
   /** Render rows (ordered key→value lists) as an aligned ASCII table. */
-  def render(title: String, rows: Seq[Seq[(String, String)]]): String = {
+  private def render(title: String, rows: Seq[Seq[(String, String)]]): String = {
     if (rows.isEmpty) return s"== $title ==\n(no rows)\n"
     val header = rows.head.map(_._1)
     val table  = header +: rows.map(_.map(_._2))
@@ -39,7 +66,7 @@ object Experiments {
   }
 
   /** Persist rendered output for EXPERIMENTS.md assembly. */
-  def save(name: String, text: String): Unit = {
+  private def save(name: String, text: String): Unit = {
     val dir = new File("bench_results"); dir.mkdirs()
     val pw  = new PrintWriter(new File(dir, s"$name.txt"), "UTF-8")
     try pw.write(text) finally pw.close()

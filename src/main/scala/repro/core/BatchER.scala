@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, functions => F}
 import repro.metrics.Measures
-import scala.collection.concurrent.TrieMap
 
 /** Result of a full batch deduplication of one table (the paper's D'). */
 final case class BatchResult(
@@ -46,10 +45,9 @@ final case class BatchResult(
   */
 object BatchER {
 
-  private val memo = TrieMap.empty[(Int, DedupConfig), BatchResult]
-
+  /** The batch run of `ctx` under `cfg`, memoised on the context. */
   def run(ctx: TableContext, cfg: DedupConfig = DedupConfig()): BatchResult =
-    memo.getOrElseUpdate((System.identityHashCode(ctx), cfg.copy(useLinkIndex = false)), {
+    ctx.batchMemo.getOrElseUpdate(cfg.copy(useLinkIndex = false), {
       val spark = ctx.spark
       import spark.implicits._
       val (result, ms) = Measures.timed {
@@ -60,7 +58,4 @@ object BatchER {
       }
       BatchResult(ctx, result._1, result._2, result._3, ms)
     })
-
-  /** Drop memoised batch runs (benchmarks re-run from cold). */
-  def clearCache(): Unit = memo.clear()
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.{Column, DataFrame, functions => F}
 import repro.metrics.Measures
 
 /** Configuration of a Dedupe query execution. */
@@ -91,24 +91,16 @@ object Deduplicate {
     var newLinks: Seq[(Long, Long)] = Nil
 
     if (unresolved.nonEmpty) {
-      val isQ = F.udf((id: Long) => unresolved.contains(id))
-
       // (i) Query Blocking — the QBI keys of the unresolved QE entities.
-      // QE ⊆ E and blocking is deterministic, so the keys are read from
-      // the TBI rather than re-tokenised.
-      val (qbiKeys, tBlk) = Measures.timed {
-        val k = ctx.tbi.where(isQ(F.col(EidCol))).select("token").distinct().cache()
+      val (keys, tBlk) = Measures.timed {
+        val k = qbiKeys(ctx, unresolved).cache()
         k.count()
         k
       }
 
-      // (ii) Block-Join — hash-join of QBI keys with the (BP/BF-refined,
-      // see TableContext.retainedTbi) TBI, producing the enriched EQBI.
+      // (ii) Block-Join — the enriched EQBI over the BP/BF-refined TBI.
       val (eqbi, tJoin) = Measures.timed {
-        val e = ctx.retainedTbi(cfg.mb)
-          .join(qbiKeys, "token")
-          .withColumn("isQuery", isQ(F.col(EidCol)))
-          .cache()
+        val e = blockJoin(ctx, keys, unresolved, cfg.mb).cache()
         candidateBlocks = e.select("token").distinct().count()
         e
       }
@@ -142,22 +134,35 @@ object Deduplicate {
       times = StageTimes(blockingMs = tBlk, blockJoinMs = tJoin,
         metaBlockingMs = tMeta, comparisonMs = tCmp)
 
-      pairs.unpersist(); eqbi.unpersist(); qbiKeys.unpersist()
+      pairs.unpersist(); eqbi.unpersist(); keys.unpersist()
     }
 
-    // Amend the LI and assemble DR = QE ∪ duplicates-of-QE.
-    if (cfg.useLinkIndex) {
-      ctx.li.addLinks(newLinks)
-      ctx.li.markResolved(unresolved)
-      val dr = ctx.li.closure(qeIds)
-      DedupOutcome(ctx, qeIds, dr, ctx.li.linksAmong(dr),
-        DedupStats(qeIds.size, unresolved.size, dr.size, comparisons, candidateBlocks, times, pc))
-    } else {
-      val scratch = new LinkIndex
-      scratch.addLinks(newLinks)
-      val dr = scratch.closure(qeIds)
-      DedupOutcome(ctx, qeIds, dr, scratch.linksAmong(dr),
-        DedupStats(qeIds.size, unresolved.size, dr.size, comparisons, candidateBlocks, times, pc))
-    }
+    // Amend the LI (a scratch one when it is off) and assemble
+    // DR = QE ∪ duplicates-of-QE.
+    val li = if (cfg.useLinkIndex) ctx.li else new LinkIndex
+    li.addLinks(newLinks)
+    if (cfg.useLinkIndex) li.markResolved(unresolved)
+    val dr = li.closure(qeIds)
+    DedupOutcome(ctx, qeIds, dr, li.linksAmong(dr),
+      DedupStats(qeIds.size, unresolved.size, dr.size, comparisons, candidateBlocks, times, pc))
   }
+
+  /** Query Blocking: the distinct blocking keys (QBI) of the `ids`
+    * entities. QE ⊆ E and blocking is deterministic, so the keys are read
+    * from the TBI rather than re-tokenised.
+    */
+  def qbiKeys(ctx: TableContext, ids: Set[Long]): DataFrame =
+    ctx.tbi.where(isQuery(ids)).select("token").distinct()
+
+  /** Block-Join: hash-join of the QBI `keys` with the BP/BF-refined TBI
+    * (see [[TableContext.retainedTbi]]), giving the enriched query block
+    * index EQBI as `(token, eid, isQuery)`, where `isQuery` marks the
+    * `ids` entities. The Deduplicate operator and the planner's
+    * comparison estimate both read this one query graph.
+    */
+  def blockJoin(ctx: TableContext, keys: DataFrame, ids: Set[Long], mb: MbConfig): DataFrame =
+    ctx.retainedTbi(mb).join(keys, "token").withColumn("isQuery", isQuery(ids))
+
+  private def isQuery(ids: Set[Long]): Column =
+    F.udf((id: Long) => ids.contains(id)).apply(F.col(EidCol))
 }

@@ -13,8 +13,6 @@ final case class MbConfig(
     purge: Boolean = true,
     filter: Boolean = true,
     edgePruning: Boolean = true,
-    purgeSf: Double = MbConfig.DefaultPurgeSf,
-    filterP: Double = 0.8,
 ) {
   def label: String =
     (Seq("BP").filter(_ => purge) ++ Seq("BF").filter(_ => filter) ++
@@ -26,7 +24,7 @@ final case class MbConfig(
 
 object MbConfig {
   /** Comparison-budget multiplier of Block Purging: the retained blocks
-    * carry at most `purgeSf · |E|` comparisons (see
+    * carry at most `DefaultPurgeSf · |E|` comparisons (see
     * [[MetaBlocking.purgeThreshold]] for why this replaces the paper's
     * SF = 1.025, whose literal inequality is vacuous).
     */
@@ -91,7 +89,7 @@ object MetaBlocking {
     * computed from this collection's own size histogram. Returns the
     * filtered entries and the chosen threshold.
     */
-  def purge(entries: DataFrame, sf: Double = MbConfig.DefaultPurgeSf): (DataFrame, Long) = {
+  def purge(entries: DataFrame): (DataFrame, Long) = {
     val nEntities = entries.select("eid").distinct().count()
     val hist = entries
       .groupBy("token").count()
@@ -99,7 +97,7 @@ object MetaBlocking {
       .collect()
       .map(r => (r.getLong(0), r.getLong(1)))
       .toSeq
-    val t = purgeThreshold(hist, sf, nEntities)
+    val t = purgeThreshold(hist, nEntities = nEntities)
     val keep = entries
       .groupBy("token").agg(F.count("*").as("bsize"))
       .where(F.expr(s"bsize * (bsize - 1) / 2 <= ${t}L"))
@@ -162,18 +160,5 @@ object MetaBlocking {
       case r                  => r.getDouble(0)
     }
     pairs.where(F.col("weight") >= math.min(mean, 1.0))
-  }
-
-  /** Full meta-blocking pass per the configured method combination; the
-    * BP → BF → EP order is strict (paper §6.1.iii). Returns the surviving
-    * candidate pairs `(aid, bid, weight, aq, bq)`.
-    */
-  def run(entries: DataFrame, cfg: MbConfig): DataFrame = {
-    var cur = entries
-    if (cfg.purge) cur = purge(cur, cfg.purgeSf)._1
-    if (cfg.filter) cur = MetaBlocking.filter(cur, cfg.filterP)
-    var pairs = candidatePairs(cur)
-    if (cfg.edgePruning) pairs = edgePruning(pairs)
-    pairs
   }
 }

@@ -3,9 +3,8 @@ package repro.core
 /** String similarity functions used by Comparison-Execution (paper §6.1.iv).
   *
   * The paper fixes Jaro-Winkler as the resolution function for all
-  * experiments; Jaccard over token sets is provided as the alternative the
-  * paper mentions ("e.g., Jaccard, Jaro-Winkler"). Implemented from scratch
-  * because no external text-similarity library is available offline.
+  * experiments. Implemented from scratch, without a text-similarity
+  * library dependency.
   */
 object Similarity {
 
@@ -63,15 +62,6 @@ object Similarity {
     val max = math.min(4, math.min(a.length, b.length))
     while (prefix < max && a.charAt(prefix) == b.charAt(prefix)) prefix += 1
     math.min(1.0, j + 0.1 * prefix * (1.0 - j))
-  }
-
-  /** Jaccard similarity over the blocking tokenizer's token sets. */
-  def jaccardTokens(a: String, b: String): Double = {
-    val ta = Tokenizer.tokensOf(a).toSet
-    val tb = Tokenizer.tokensOf(b).toSet
-    if (ta.isEmpty && tb.isEmpty) 1.0
-    else if (ta.isEmpty || tb.isEmpty) 0.0
-    else ta.intersect(tb).size.toDouble / ta.union(tb).size
   }
 
   /** Token similarity used by [[mongeElkanAbbrev]]: exact tokens score 1,

@@ -69,7 +69,7 @@ final class TableContext(
   val li = new LinkIndex
 
   private val retainedMemo =
-    scala.collection.concurrent.TrieMap.empty[(Boolean, Boolean, Double, Double), DataFrame]
+    scala.collection.concurrent.TrieMap.empty[(Boolean, Boolean), DataFrame]
 
   /** TBI after the block-refinement methods (Block Purging + Block
     * Filtering) under a meta-blocking configuration — computed once per
@@ -80,10 +80,10 @@ final class TableContext(
     * moves the cost into the once-off initialisation.
     */
   def retainedTbi(mb: MbConfig): DataFrame =
-    retainedMemo.getOrElseUpdate((mb.purge, mb.filter, mb.purgeSf, mb.filterP), {
+    retainedMemo.getOrElseUpdate((mb.purge, mb.filter), {
       var cur = tbi
-      if (mb.purge) cur = MetaBlocking.purge(cur, mb.purgeSf)._1
-      if (mb.filter) cur = MetaBlocking.filter(cur, mb.filterP)
+      if (mb.purge) cur = MetaBlocking.purge(cur)._1
+      if (mb.filter) cur = MetaBlocking.filter(cur)
       val d = cur.persist(StorageLevel.MEMORY_AND_DISK)
       d.count()
       d
@@ -93,6 +93,10 @@ final class TableContext(
   private[repro] var dupFactorMemo: Option[Double]                 = None
   private[repro] val joinPercentMemo =
     scala.collection.concurrent.TrieMap.empty[(String, String, String), (Double, Double)]
+
+  /** Memoised full-table batch runs per configuration (the BA baseline). */
+  private[repro] val batchMemo =
+    scala.collection.concurrent.TrieMap.empty[DedupConfig, BatchResult]
 
   /** Forget all progressive state (used between benchmark configurations). */
   def resetLinkIndex(): Unit = li.clear()

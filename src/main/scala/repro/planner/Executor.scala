@@ -84,41 +84,26 @@ object Executor {
       cfg: DedupConfig = DedupConfig(),
       forceFirst: Option[Side] = None,
   ): (DataFrame, ExecStats) = {
-    var result: DataFrame          = null
-    var lOut, rOut: DedupOutcome   = null
-    var plan: Option[JoinPlan]     = None
-    val (_, totalMs) = Measures.timed {
-      kind match {
-        case NaivePlanner if forceFirst.isEmpty =>
-          // fixed plan: Deduplicate above the Filter on both branches
-          val lQe = lCtx.rows.where(spec.left.pred.toColumn).select(Tokenizer.EidCol)
-          val rQe = rCtx.rows.where(spec.right.pred.toColumn).select(Tokenizer.EidCol)
-          lOut = Deduplicate.run(lCtx, lQe, cfg)
-          rOut = Deduplicate.run(rCtx, rQe, cfg)
-        case _ =>
-          val first = forceFirst.getOrElse {
-            val p = Planner.planJoin(lCtx, spec.left.pred, rCtx, spec.right.pred, cfg.mb)
-            plan = Some(p)
-            p.dedupFirst
-          }
-          if (first == LeftSide) {
-            val lQe = lCtx.rows.where(spec.left.pred.toColumn).select(Tokenizer.EidCol)
-            val lo  = Deduplicate.run(lCtx, lQe, cfg)
-            val (l, r) = DeduplicateJoin.dirtyRight(
-              lo, rCtx, spec.right.pred.toColumn, spec.leftAttr, spec.rightAttr, cfg)
-            lOut = l; rOut = r
-          } else {
-            val rQe = rCtx.rows.where(spec.right.pred.toColumn).select(Tokenizer.EidCol)
-            val ro  = Deduplicate.run(rCtx, rQe, cfg)
-            val (l, r) = DeduplicateJoin.dirtyLeft(
-              lCtx, spec.left.pred.toColumn, ro, spec.leftAttr, spec.rightAttr, cfg)
-            lOut = l; rOut = r
-          }
+    val ((result, lOut, rOut, plan), totalMs) = Measures.timed {
+      val plan =
+        if (forceFirst.isEmpty && kind == AdvancedPlanner)
+          Some(Planner.planJoin(lCtx, spec.left.pred, rCtx, spec.right.pred, cfg.mb))
+        else None
+      // the branch deduplicated first; None = NES, both branches at once
+      val first = forceFirst.orElse(plan.map(_.dedupFirst))
+      def clean(ctx: TableContext, side: SelectSpec): DedupOutcome =
+        Deduplicate.run(ctx, ctx.rows.where(side.pred.toColumn).select(Tokenizer.EidCol), cfg)
+      val (lOut, rOut) = first match {
+        case None => (clean(lCtx, spec.left), clean(rCtx, spec.right))
+        case Some(LeftSide) => DeduplicateJoin.dirtyRight(
+          clean(lCtx, spec.left), rCtx, spec.right.pred.toColumn, spec.leftAttr, spec.rightAttr, cfg)
+        case Some(RightSide) => DeduplicateJoin.dirtyLeft(
+          lCtx, spec.left.pred.toColumn, clean(rCtx, spec.right), spec.leftAttr, spec.rightAttr, cfg)
       }
       val joined = DeduplicateJoin.joinOperation(lOut, rOut, spec.leftAttr, spec.rightAttr)
-      result = projectJoin(joined, spec.projection)
-      result = result.cache()
+      val result = projectJoin(joined, spec.projection).cache()
       result.count()
+      (result, lOut, rOut, plan)
     }
     val comparisons = lOut.stats.comparisons + rOut.stats.comparisons
     val times       = lOut.stats.times + rOut.stats.times

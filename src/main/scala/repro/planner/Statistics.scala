@@ -8,8 +8,8 @@ import repro.core._
   * 1. Estimated comparisons: literals in the WHERE clause define blocking
   *    keys; the selected set S_E is approximated from the TBI blocks of
   *    those keys (AND = intersection, OR = union), the candidate block
-  *    collection SB is built from the ITBI, Block Purging and Block
-  *    Filtering are simulated, and C = Σ_b |q_b|·(|S_b| − (|q_b|+1)/2).
+  *    collection SB is the Deduplicate operator's own EQBI over the
+  *    BP/BF-refined TBI, and C = Σ_b |q_b|·(|S_b| − (|q_b|+1)/2).
   *    The estimation stops before Edge Pruning, as the paper does,
   *    because the inequality between branches is already decided there.
   * 2. Duplication factor df: an eagerly-cleaned sample at load time gives
@@ -61,13 +61,8 @@ object Statistics {
     */
   def estimateComparisonsFor(ctx: TableContext, selected: Set[Long], mb: MbConfig): Long = {
     if (selected.isEmpty) return 0L
-    val isQ = F.udf((id: Long) => selected.contains(id))
-    val qbiKeys = ctx.tbi.where(isQ(F.col(EidCol))).select("token").distinct()
-    // the refined TBI already carries BP/BF (same index the Deduplicate
-    // operator joins against), so the estimate mirrors the execution
-    val sb = ctx.retainedTbi(mb)
-      .join(qbiKeys, "token")
-      .withColumn("isQuery", isQ(F.col(EidCol)))
+    // the query graph the Deduplicate operator executes, up to Block-Join
+    val sb = Deduplicate.blockJoin(ctx, Deduplicate.qbiKeys(ctx, selected), selected, mb)
     val est = sb.groupBy("token")
       .agg(F.count("*").as("n"), F.sum(F.col("isQuery").cast("long")).as("q"))
       .where(F.col("q") > 0)

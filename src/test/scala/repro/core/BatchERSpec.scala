@@ -52,6 +52,14 @@ class BatchERSpec extends SparkSpec {
     assert(b1 eq b2)
   }
 
+  test("batch runs of two contexts are kept apart") {
+    val pubs   = freshCtx
+    val venues = TableContext("venuesBatch", Fixtures.venues(spark))
+    val (bp, bv) = (BatchER.run(pubs), BatchER.run(venues))
+    assert((bp.ctx eq pubs) && (bv.ctx eq venues))
+    assert(BatchER.run(pubs) eq bp)
+  }
+
   test("batch ER on generated venues groups surface-form duplicates") {
     val ds  = Datasets.oagv(spark, 200)
     val ctx = ds.toContext

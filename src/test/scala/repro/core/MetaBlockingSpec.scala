@@ -139,18 +139,32 @@ class MetaBlockingSpec extends SparkSpec with PropSupport {
     assert(MetaBlocking.edgePruning(pairs).count() == 2)
   }
 
+  /** The surviving pairs of the production path: the table's refined TBI,
+    * the shared EQBI of `ids`, candidate pairs, then Edge Pruning.
+    */
+  private def pairsOf(ctx: TableContext, ids: Set[Long], mb: MbConfig): Set[(Long, Long)] = {
+    val eqbi  = Deduplicate.blockJoin(ctx, Deduplicate.qbiKeys(ctx, ids), ids, mb)
+    val raw   = candidatePairs(eqbi)
+    val pairs = if (mb.edgePruning) edgePruning(raw) else raw
+    pairs.select("aid", "bid").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+  }
+
+  private def table(values: (Long, String)*): TableContext = {
+    import spark.implicits._
+    TableContext("mb", values.toSeq.toDF("eid", "v"))
+  }
+
   test("run with MbConfig.None returns the raw candidate pairs") {
-    val e = entries(("t1", 1L, true), ("t1", 2L, false), ("t2", 3L, true), ("t2", 4L, false))
-    assert(MetaBlocking.run(e, MbConfig.None).count() == 2)
+    val ctx = table(1L -> "t1", 2L -> "t1", 3L -> "t2", 4L -> "t2")
+    assert(pairsOf(ctx, Set(1L, 3L), MbConfig.None) == Set((1L, 2L), (3L, 4L)))
+    val cfg = DedupConfig(mb = MbConfig.None, useLinkIndex = false)
+    assert(Deduplicate.run(ctx, Set(1L, 3L), cfg).stats.comparisons == 2)
   }
   test("run ALL is a subset of run None") {
-    val e = entries(
-      ("t1", 1L, true), ("t1", 2L, false),
-      ("t2", 1L, true), ("t2", 2L, false), ("t2", 3L, true),
-      ("t3", 3L, true), ("t3", 4L, false))
-    val all  = MetaBlocking.run(e, MbConfig.All).select("aid", "bid").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val none = MetaBlocking.run(e, MbConfig.None).select("aid", "bid").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(all.subsetOf(none))
+    val ctx = table(1L -> "t1 t2", 2L -> "t1 t2", 3L -> "t2 t3", 4L -> "t3")
+    val all  = pairsOf(ctx, Set(1L, 3L), MbConfig.All)
+    val none = pairsOf(ctx, Set(1L, 3L), MbConfig.None)
+    assert(all.nonEmpty && all.subsetOf(none))
   }
   test("MbConfig labels match the paper's configurations") {
     assert(MbConfig.All.label == "ALL")

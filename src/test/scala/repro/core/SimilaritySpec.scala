@@ -49,17 +49,6 @@ class SimilaritySpec extends AnyFunSuite with PropSupport {
     checkProp(Prop.forAll(word) { a => jaroWinkler(a, a) == 1.0 })
   }
 
-  test("jaccardTokens of identical token sets is 1") {
-    assert(jaccardTokens("entity resolution", "resolution entity") == 1.0)
-  }
-  test("jaccardTokens of disjoint sets is 0") {
-    assert(jaccardTokens("alpha beta", "gamma delta") == 0.0)
-  }
-  test("jaccardTokens half overlap") {
-    assert(approx(jaccardTokens("alpha beta", "beta gamma"), 1.0 / 3.0))
-  }
-  test("jaccardTokens both empty is 1") { assert(jaccardTokens("", "") == 1.0) }
-
   test("profileSimilarity averages only co-present attributes") {
     val s = profileSimilarity(Seq("edbt", null, "2008"), Seq("edbt", "x", "2008"))
     assert(s == 1.0)

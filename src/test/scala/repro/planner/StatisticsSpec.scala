@@ -63,6 +63,23 @@ class StatisticsSpec extends SparkSpec {
     val after = Statistics.estimateComparisons(ctx, EqPred("venue", "EDBT"))
     assert(before > 0 && after == 0)
   }
+  test("the estimate bounds the candidate pairs, which bound the executed comparisons") {
+    // C counts every block's pairs that touch the query, so it is at least
+    // the distinct pairs of the same EQBI; Edge Pruning only removes pairs
+    val targets = Seq(
+      pCtx -> EqPred("venue", "EDBT"),
+      Datasets.ppl(spark, 500).toContext -> RangePred("byear", 1900, 1940))
+    for ((ctx, pred) <- targets; mb <- Seq(MbConfig.All, MbConfig.BpBf, MbConfig.BpEp)) {
+      val s     = Statistics.selectedSet(ctx, pred)
+      val est     = Statistics.estimateComparisonsFor(ctx, s, mb)
+      val pairs = MetaBlocking.candidatePairs(
+        Deduplicate.blockJoin(ctx, Deduplicate.qbiKeys(ctx, s), s, mb)).count()
+      val executed = Deduplicate.run(ctx, s, DedupConfig(mb = mb, useLinkIndex = false))
+        .stats.comparisons
+      assert(s.nonEmpty && est >= pairs && pairs >= executed && executed > 0,
+        s"${ctx.name} ${mb.label}: $est ≥ $pairs ≥ $executed")
+    }
+  }
 
   test("duplicationFactor is ≥ 1 and memoised") {
     val ctx = Datasets.ppl(spark, 500).toContext
