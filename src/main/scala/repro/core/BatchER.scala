@@ -1,39 +1,34 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, functions => F}
+import org.apache.spark.sql.{Column, functions => F}
 import repro.metrics.Measures
 
-/** Result of a full batch deduplication of one table (the paper's D'). */
-final case class BatchResult(
-    ctx: TableContext,
-    clusterOf: Map[Long, Long],
-    links: Seq[(Long, Long)],
-    comparisons: Long,
-    elapsedMs: Long,
-) {
-  /** The deduplicated grouped collection E_G. */
-  lazy val grouped: DataFrame = {
-    val g = GroupEntities.group(ctx.rows, clusterOf, ctx.attrs).cache()
-    g.count()
-    g
-  }
+/** Result of a full batch deduplication of one table (the paper's D').
+  *
+  * @param full the batch run's Deduplicate outcome (QE = E, LI off)
+  */
+final case class BatchResult(full: DedupOutcome, elapsedMs: Long) {
+  def ctx: TableContext           = full.ctx
+  def clusterOf: Map[Long, Long]  = full.clusterOf
+  def links: Seq[(Long, Long)]    = full.links
+  def comparisons: Long           = full.stats.comparisons
 
-  /** Clusters having at least one member that satisfies `pred` — the
-    * member-level semantics a BAQ needs so that a query over E_G returns
-    * the same entities a batch-cleaned database would (paper §5).
+  /** A batch answer (BAQ) as a Deduplicate outcome: QE is the rows that
+    * pass `pred`, DR every member of a cluster QE touches — the
+    * member-level semantics under which a query over the batch-cleaned
+    * table returns the same entities a Dedupe query does (paper §5).
+    * Clusters are whole components, so a batch link with one end in DR
+    * has both ends there.
     */
-  def matchingClusters(pred: Column): Set[Long] = {
+  def outcome(pred: Column): DedupOutcome = {
     val spark = ctx.spark
     import spark.implicits._
-    ctx.rows.where(pred).select(Tokenizer.EidCol).as[Long].collect()
-      .map(id => clusterOf.getOrElse(id, id)).toSet
-  }
-
-  /** BAQ over a single collection: grouped rows of matching clusters. */
-  def select(pred: Column): DataFrame = {
-    val cl   = matchingClusters(pred)
-    val isIn = F.udf((c: Long) => cl.contains(c))
-    grouped.where(isIn(F.col("cluster")))
+    val qe      = ctx.rows.where(pred).select(Tokenizer.EidCol).as[Long].collect().toSet
+    val touched = qe.map(clusterOf)
+    val dr      = clusterOf.collect { case (id, c) if touched(c) => id }.toSet
+    // every entity was resolved by the batch run, so none is unresolved
+    DedupOutcome(ctx, qe, dr, links.filter { case (a, _) => dr(a) },
+      DedupStats(qe.size, 0L, dr.size, 0L, 0L, StageTimes(), None))
   }
 }
 
@@ -50,12 +45,12 @@ object BatchER {
     ctx.batchMemo.getOrElseUpdate(cfg.copy(useLinkIndex = false), {
       val spark = ctx.spark
       import spark.implicits._
-      val (result, ms) = Measures.timed {
-        val allIds  = ctx.rows.select(F.col(Tokenizer.EidCol)).as[Long].collect().toSet
-        val outcome = Deduplicate.run(ctx, allIds, cfg.copy(useLinkIndex = false, computePc = false))
-        val clusters = Clusters.fromLinks(allIds, outcome.links)
-        (clusters, outcome.links, outcome.stats.comparisons)
+      val (outcome, ms) = Measures.timed {
+        val allIds = ctx.rows.select(F.col(Tokenizer.EidCol)).as[Long].collect().toSet
+        val out = Deduplicate.run(ctx, allIds, cfg.copy(useLinkIndex = false, computePc = false))
+        out.clusterOf // the clusters are part of the one-off cleaning cost
+        out
       }
-      BatchResult(ctx, result._1, result._2, result._3, ms)
+      BatchResult(outcome, ms)
     })
 }

@@ -8,20 +8,15 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   */
 object ComparisonExecution {
 
-  /** Matched links and the executed-comparison count.
-    *
-    * @param links       `(aid, bid, sim)` of matched pairs, aid < bid
-    * @param comparisons number of pairs the similarity function ran on —
-    *                    the paper's `Comp.` measure
-    */
-  final case class Result(links: DataFrame, comparisons: Long)
-
-  /** Execute the comparisons in `pairs` against the entity rows of `ctx`.
+  /** Execute the comparisons in `pairs` against the entity rows of `ctx`;
+    * the `(aid, bid, sim)` matched links, aid < bid. Every pair is one
+    * executed comparison (the paper's `Comp.` measure), so the caller
+    * counts `pairs` for it.
     *
     * @param pairs     `(aid, bid, ...)` candidate pairs (canonical order)
     * @param threshold profile-similarity match threshold θ
     */
-  def execute(ctx: TableContext, pairs: DataFrame, threshold: Double): Result = {
+  def execute(ctx: TableContext, pairs: DataFrame, threshold: Double): DataFrame = {
     val freq = ctx.valueFreq // captured in the UDF closure; values are lowercased
     val simUdf = F.udf((a: Seq[String], b: Seq[String]) =>
       Similarity.profileSimilarity(a, b,
@@ -29,14 +24,11 @@ object ComparisonExecution {
     val attrArr = F.array(ctx.attrs.map(a => F.col(a).cast("string")): _*)
     val left  = ctx.rows.select(F.col(Tokenizer.EidCol).as("aid"), attrArr.as("aAttrs"))
     val right = ctx.rows.select(F.col(Tokenizer.EidCol).as("bid"), attrArr.as("bAttrs"))
-    val candidates = pairs.select("aid", "bid")
-    val comparisons = candidates.count()
-    val links = candidates
+    pairs.select("aid", "bid")
       .join(left, "aid")
       .join(right, "bid")
       .withColumn("sim", simUdf(F.col("aAttrs"), F.col("bAttrs")))
       .where(F.col("sim") >= threshold)
       .select("aid", "bid", "sim")
-    Result(links, comparisons)
   }
 }

@@ -115,7 +115,7 @@ object Deduplicate {
         val p =
           if (cfg.mb.edgePruning) MetaBlocking.edgePruning(raw).cache()
           else raw
-        p.count()
+        comparisons = p.count()
         if (p ne raw) raw.unpersist()
         p
       }
@@ -124,12 +124,10 @@ object Deduplicate {
         pc = Some(Measures.pairCompleteness(ctx, unresolved, pairs))
 
       // (iv) Comparison-Execution — resolution function on each pair.
-      val (res, tCmp) = Measures.timed {
-        val r = ComparisonExecution.execute(ctx, pairs, cfg.simThreshold)
-        newLinks = r.links.select(F.col("aid"), F.col("bid")).as[(Long, Long)].collect().toSeq
-        r
+      val (_, tCmp) = Measures.timed {
+        newLinks = ComparisonExecution.execute(ctx, pairs, cfg.simThreshold)
+          .select(F.col("aid"), F.col("bid")).as[(Long, Long)].collect().toSeq
       }
-      comparisons = res.comparisons
 
       times = StageTimes(blockingMs = tBlk, blockJoinMs = tJoin,
         metaBlockingMs = tMeta, comparisonMs = tCmp)

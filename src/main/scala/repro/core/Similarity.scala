@@ -165,10 +165,6 @@ object Similarity {
     else math.max(base, crossPositionBonus(a, b))
   }
 
-  /** Backwards-compatible unweighted variant (all frequencies = 1). */
-  def profileSimilarity(a: Seq[String], b: Seq[String]): Double =
-    profileSimilarity(a, b, _ => 1L)
-
   /** 0.95 if two long values near-exactly match in different attribute
     * positions (representation swap), else 0.
     */

@@ -101,7 +101,10 @@ final class TableContext(
   /** Forget all progressive state (used between benchmark configurations). */
   def resetLinkIndex(): Unit = li.clear()
 
+  /** Release the cached indices, the refined TBIs included. */
   def unpersistAll(): Unit = {
+    retainedMemo.values.foreach(_.unpersist())
+    retainedMemo.clear()
     blockSizes.unpersist(); tbi.unpersist(); rows.unpersist()
   }
 }

@@ -27,20 +27,19 @@ object Datasets {
     Map("200K" -> 0.03, "500K" -> 0.108, "1M" -> 0.078, "1.5M" -> 0.09, "2M" -> 0.134)
 
   private val memo =
-    scala.collection.concurrent.TrieMap.empty[(Int, String), DirtyDataset]
+    scala.collection.concurrent.TrieMap.empty[(SparkSession, String), DirtyDataset]
 
   private val ctxMemo =
-    scala.collection.concurrent.TrieMap.empty[(Int, String), repro.core.TableContext]
+    scala.collection.concurrent.TrieMap.empty[(SparkSession, String), repro.core.TableContext]
 
   /** Memoised TableContext of a dataset — one TBI/LI per dataset per
     * session (benches share them; call resetLinkIndex() for a cold LI).
     */
   def context(ds: DirtyDataset): repro.core.TableContext =
-    ctxMemo.getOrElseUpdate(
-      (System.identityHashCode(ds.df.sparkSession), ds.name), ds.toContext)
+    ctxMemo.getOrElseUpdate((ds.df.sparkSession, ds.name), ds.toContext)
 
   private def cached(spark: SparkSession, key: String)(mk: => DirtyDataset): DirtyDataset =
-    memo.getOrElseUpdate((System.identityHashCode(spark), key), {
+    memo.getOrElseUpdate((spark, key), {
       val d  = mk
       val df = d.df.cache(); df.count()
       val tr = d.truth.cache(); tr.count()

@@ -31,29 +31,20 @@ object Executor {
       spec: SelectSpec,
       cfg: DedupConfig = DedupConfig(),
   ): (DataFrame, ExecStats) = {
-    var outcome: DedupOutcome = null
-    var grouped: DataFrame    = null
-    var groupMs               = 0L
-    val (_, totalMs) = Measures.timed {
-      val qe = ctx.rows.where(spec.pred.toColumn).select(Tokenizer.EidCol)
-      outcome = Deduplicate.run(ctx, qe, cfg)
-      val (g, gMs) = Measures.timed {
-        val gr = GroupEntities.group(outcome.drRows, outcome.clusterOf, ctx.attrs).cache()
-        gr.count()
-        gr
-      }
-      groupMs = gMs
-      grouped = project(g, spec.projection)
+    val ((outcome, (result, groupMs)), totalMs) = Measures.timed {
+      val out = Deduplicate.run(ctx, ctx.rows.where(spec.pred.toColumn).select(Tokenizer.EidCol), cfg)
+      (out, Measures.timed(groupAnswer(out, spec.projection)))
     }
     val s = outcome.stats
-    (grouped, ExecStats(totalMs, s.comparisons, s.qeSize, s.drSize,
+    (result, ExecStats(totalMs, s.comparisons, s.qeSize, s.drSize,
       s.times.copy(groupMs = groupMs, otherMs = math.max(0L, totalMs - s.times.totalMs - groupMs)),
       s.pc))
   }
 
   /** Evaluate the Batch Approach for the same SP query: full-table batch
-    * ER (timed) + BAQ over the grouped collection. Comparisons and time
-    * include the offline cleaning, per the paper's Problem Statement (1).
+    * ER (timed) + BAQ through the same Group-Entities step. Comparisons
+    * and time include the offline cleaning, per the paper's Problem
+    * Statement (1).
     */
   def runBatchSelect(
       ctx: TableContext,
@@ -61,14 +52,13 @@ object Executor {
       cfg: DedupConfig = DedupConfig(),
   ): (DataFrame, ExecStats) = {
     val batch = BatchER.run(ctx, cfg) // memoised: elapsedMs is the one-off cleaning cost
-    val (result, queryMs) = Measures.timed {
-      val r = project(batch.select(spec.pred.toColumn), spec.projection)
-      r.count()
-      r
+    val ((outcome, result), queryMs) = Measures.timed {
+      val out = batch.outcome(spec.pred.toColumn)
+      (out, groupAnswer(out, spec.projection))
     }
-    val qe      = ctx.rows.where(spec.pred.toColumn).count()
     val totalMs = batch.elapsedMs + queryMs
-    (result, ExecStats(totalMs, batch.comparisons, qe, ctx.size, StageTimes(otherMs = totalMs)))
+    (result, ExecStats(totalMs, batch.comparisons, outcome.stats.qeSize, ctx.size,
+      StageTimes(otherMs = totalMs)))
   }
 
   /** Evaluate an SPJ dedupe query with the chosen solution (paper §7):
@@ -100,10 +90,7 @@ object Executor {
         case Some(RightSide) => DeduplicateJoin.dirtyLeft(
           lCtx, spec.left.pred.toColumn, clean(rCtx, spec.right), spec.leftAttr, spec.rightAttr, cfg)
       }
-      val joined = DeduplicateJoin.joinOperation(lOut, rOut, spec.leftAttr, spec.rightAttr)
-      val result = projectJoin(joined, spec.projection).cache()
-      result.count()
-      (result, lOut, rOut, plan)
+      (joinAnswer(lOut, rOut, spec), lOut, rOut, plan)
     }
     val comparisons = lOut.stats.comparisons + rOut.stats.comparisons
     val times       = lOut.stats.times + rOut.stats.times
@@ -129,43 +116,30 @@ object Executor {
     val lb = BatchER.run(lCtx, cfg) // memoised one-off cleaning costs
     val rb = BatchER.run(rCtx, cfg)
     val (result, queryMs) = Measures.timed {
-      val lOut   = outcomeOfBatch(lCtx, lb, spec.left.pred)
-      val rOut   = outcomeOfBatch(rCtx, rb, spec.right.pred)
-      val joined = DeduplicateJoin.joinOperation(lOut, rOut, spec.leftAttr, spec.rightAttr)
-      val r      = projectJoin(joined, spec.projection).cache()
-      r.count()
-      r
+      joinAnswer(lb.outcome(spec.left.pred.toColumn), rb.outcome(spec.right.pred.toColumn), spec)
     }
     val totalMs = lb.elapsedMs + rb.elapsedMs + queryMs
     (result, ExecStats(totalMs, lb.comparisons + rb.comparisons,
       lCtx.size + rCtx.size, lCtx.size + rCtx.size, StageTimes(otherMs = totalMs)))
   }
 
-  /** View a batch-cleaned table as a DedupOutcome restricted to the
-    * clusters any of whose members pass the predicate (BAQ semantics).
-    */
-  private def outcomeOfBatch(ctx: TableContext, batch: BatchResult, pred: Pred): DedupOutcome = {
-    val spark = ctx.spark
-    import spark.implicits._
-    val clusters = batch.matchingClusters(pred.toColumn)
-    val members  = batch.clusterOf.collect {
-      case (id, c) if clusters.contains(c) => id
-    }.toSet
-    val qe = ctx.rows.where(pred.toColumn).select(Tokenizer.EidCol).as[Long].collect().toSet
-    val links = {
-      val li = new LinkIndex
-      li.addLinks(batch.links)
-      li.linksAmong(members)
-    }
-    DedupOutcome(ctx, qe, members, links,
-      DedupStats(qe.size, qe.size, members.size, 0L, 0L, StageTimes(), None))
+  /** Group-Entities → Project → answer: the tail of every SP query. */
+  private def groupAnswer(out: DedupOutcome, projection: Seq[String]): DataFrame = {
+    val grouped = GroupEntities.group(out.drRows, out.clusterOf, out.ctx.attrs)
+    answer(if (projection.isEmpty) grouped else grouped.select(projection.map(F.col): _*))
   }
 
-  private def project(grouped: DataFrame, projection: Seq[String]): DataFrame =
-    if (projection.isEmpty) grouped
-    else grouped.select(projection.map(F.col): _*)
+  /** Deduplicate-Join → Project → answer: the tail of every SPJ query. */
+  private def joinAnswer(l: DedupOutcome, r: DedupOutcome, spec: JoinSpec): DataFrame = {
+    val joined = DeduplicateJoin.joinOperation(l, r, spec.leftAttr, spec.rightAttr)
+    answer(
+      if (spec.projection.isEmpty) joined
+      else joined.select(spec.projection.map { case (t, a) => F.col(s"${t}_$a") }: _*))
+  }
 
-  private def projectJoin(joined: DataFrame, projection: Seq[(String, String)]): DataFrame =
-    if (projection.isEmpty) joined
-    else joined.select(projection.map { case (t, a) => F.col(s"${t}_$a") }: _*)
+  /** The answer, collected once and returned as a driver-local DataFrame:
+    * collecting it again launches no Spark job, and no storage stays cached.
+    */
+  private def answer(df: DataFrame): DataFrame =
+    df.sparkSession.createDataFrame(df.collectAsList(), df.schema)
 }

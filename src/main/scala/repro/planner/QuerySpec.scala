@@ -5,31 +5,27 @@ import repro.core.Tokenizer
 
 /** Predicate algebra of a Dedupe query's WHERE clause (paper §5 supports
   * conjunctive/disjunctive conditions of the form `E.x op constant` and
-  * equi-joins). `literalTokens` exposes the blocking keys the cost-based
-  * planner derives from literals (paper §7.2.1.i); predicates with no
-  * string literal (ranges, MOD) report none and the estimator falls back
-  * to evaluating the filter.
+  * equi-joins). The cost-based planner derives blocking keys from the
+  * string literals of `=` and `IN` (paper §7.2.1.i, see
+  * [[Statistics.selectedSet]]); for the other predicates (ranges, MOD) the
+  * estimator evaluates the filter.
   */
 sealed trait Pred {
   def toColumn: Column
-  def literalTokens: Seq[String]
 }
 
 case object TruePred extends Pred {
-  def toColumn: Column            = F.lit(true)
-  def literalTokens: Seq[String]  = Nil
+  def toColumn: Column = F.lit(true)
 }
 
 /** `attr = 'value'` */
 final case class EqPred(attr: String, value: String) extends Pred {
-  def toColumn: Column           = F.col(attr).cast("string") === value
-  def literalTokens: Seq[String] = Tokenizer.tokensOf(value)
+  def toColumn: Column = F.col(attr).cast("string") === value
 }
 
 /** `attr IN ('v1', 'v2', …)` */
 final case class InPred(attr: String, values: Seq[String]) extends Pred {
-  def toColumn: Column           = F.col(attr).cast("string").isin(values: _*)
-  def literalTokens: Seq[String] = values.flatMap(Tokenizer.tokensOf).distinct
+  def toColumn: Column = F.col(attr).cast("string").isin(values: _*)
 }
 
 /** Numeric comparison `attr op value`; op ∈ {<, <=, >, >=}. Uses
@@ -47,29 +43,24 @@ final case class CmpPred(attr: String, op: String, value: Double) extends Pred {
       case _    => throw new IllegalArgumentException(s"unsupported op $op")
     }
   }
-  def literalTokens: Seq[String] = Nil
 }
 
 /** Inclusive numeric range `lo <= attr <= hi` (try_cast: see CmpPred). */
 final case class RangePred(attr: String, lo: Double, hi: Double) extends Pred {
-  def toColumn: Column           = F.expr(s"try_cast(`$attr` AS DOUBLE)").between(lo, hi)
-  def literalTokens: Seq[String] = Nil
+  def toColumn: Column = F.expr(s"try_cast(`$attr` AS DOUBLE)").between(lo, hi)
 }
 
 /** `MOD(eid, m) < k` — the paper's Q9 random-selection query. */
 final case class ModLtPred(m: Long, k: Long) extends Pred {
-  def toColumn: Column           = F.pmod(F.col(Tokenizer.EidCol), F.lit(m)) < k
-  def literalTokens: Seq[String] = Nil
+  def toColumn: Column = F.pmod(F.col(Tokenizer.EidCol), F.lit(m)) < k
 }
 
 final case class AndPred(l: Pred, r: Pred) extends Pred {
-  def toColumn: Column           = l.toColumn && r.toColumn
-  def literalTokens: Seq[String] = (l.literalTokens ++ r.literalTokens).distinct
+  def toColumn: Column = l.toColumn && r.toColumn
 }
 
 final case class OrPred(l: Pred, r: Pred) extends Pred {
-  def toColumn: Column           = l.toColumn || r.toColumn
-  def literalTokens: Seq[String] = (l.literalTokens ++ r.literalTokens).distinct
+  def toColumn: Column = l.toColumn || r.toColumn
 }
 
 /** A single-table SP dedupe query: σ_pred(table) with a projection over

@@ -11,10 +11,10 @@ import org.apache.spark.sql.types.{DataType, StructType}
   * (`--conf spark.sql.extensions=repro.sql.QueryErExtensions`).
   *
   * A delegating [[ParserInterface]] intercepts statements that start with
-  * `SELECT DEDUP` and rewrites them into the ER-enabled plan: the
-  * Deduplicate / Deduplicate-Join / Group-Entities operators are woven in
-  * as Catalyst compositions (joins, windows, aggregates), so the returned
-  * logical plan executes entirely inside Spark SQL. Every other statement
+  * `SELECT DEDUP` and evaluates them with the Deduplicate /
+  * Deduplicate-Join / Group-Entities operators (Catalyst compositions of
+  * joins, windows and aggregates); the returned logical plan is the
+  * materialised answer, a local relation. Every other statement
   * is delegated to Spark's parser verbatim, preserving standard SQL
   * semantics exactly as the paper requires ("otherwise the typical SQL
   * semantics are used", §3).

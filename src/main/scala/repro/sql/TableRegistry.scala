@@ -21,19 +21,9 @@ object TableRegistry {
     ctx
   }
 
-  def register(ctx: TableContext): TableContext = {
-    tables.put(ctx.name.toLowerCase, ctx)
-    ctx.df.createOrReplaceTempView(ctx.name)
-    ctx
-  }
-
   def get(name: String): Option[TableContext] = tables.get(name.toLowerCase)
 
   def apply(name: String): TableContext =
     get(name).getOrElse(throw new NoSuchElementException(
       s"table '$name' is not registered with QueryER (known: ${tables.keys.mkString(", ")})"))
-
-  def drop(name: String): Unit  = tables.remove(name.toLowerCase)
-  def clear(): Unit             = tables.clear()
-  def names: Seq[String]        = tables.keys.toSeq.sorted
 }

@@ -22,24 +22,26 @@ class BatchERSpec extends SparkSpec {
     assert(b.comparisons > 0)
   }
 
+  /** Group-Entities over a batch answer, as the Executor's answer step. */
+  private def grouped(o: DedupOutcome) = GroupEntities.group(o.drRows, o.clusterOf, o.ctx.attrs)
+
   test("grouped collection has one row per cluster") {
-    val ctx = freshCtx
-    val b = BatchER.run(ctx)
-    assert(b.grouped.count() == b.clusterOf.values.toSet.size)
+    val b = BatchER.run(freshCtx)
+    assert(grouped(b.outcome(lit(true))).count() == b.clusterOf.values.toSet.size)
   }
 
   test("matchingClusters applies member-level predicate semantics") {
-    val ctx = freshCtx
-    val b = BatchER.run(ctx)
+    val b = BatchER.run(freshCtx)
     // venue='EDBT' matches P1, P6, P8 → their clusters
-    val cl = b.matchingClusters(col("venue") === "EDBT")
-    assert(cl == Set(b.clusterOf(1L), b.clusterOf(6L)))
+    val o = b.outcome(col("venue") === "EDBT")
+    assert(o.qeIds == Set(1L, 6L, 8L))
+    assert(o.drIds.map(b.clusterOf) == Set(b.clusterOf(1L), b.clusterOf(6L)))
+    assert(o.links.nonEmpty && o.links.forall { case (x, y) => o.drIds(x) && o.drIds(y) })
   }
 
   test("select returns the grouped rows of matching clusters") {
-    val ctx = freshCtx
-    val b = BatchER.run(ctx)
-    val rows = b.select(col("venue") === "EDBT").collect()
+    val b = BatchER.run(freshCtx)
+    val rows = grouped(b.outcome(col("venue") === "EDBT")).collect()
     assert(rows.length == 2)
     val years = rows.map(r => r.getString(r.fieldIndex("year"))).toSet
     assert(years == Set("2008", "2015"))

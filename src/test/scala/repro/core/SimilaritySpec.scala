@@ -50,26 +50,26 @@ class SimilaritySpec extends AnyFunSuite with PropSupport {
   }
 
   test("profileSimilarity averages only co-present attributes") {
-    val s = profileSimilarity(Seq("edbt", null, "2008"), Seq("edbt", "x", "2008"))
+    val s = profileSimilarity(Seq("edbt", null, "2008"), Seq("edbt", "x", "2008"), _ => 1L)
     assert(s == 1.0)
   }
   test("profileSimilarity with no co-present attribute is 0") {
-    assert(profileSimilarity(Seq(null, "a"), Seq("b", null)) == 0.0)
+    assert(profileSimilarity(Seq(null, "a"), Seq("b", null), _ => 1L) == 0.0)
   }
   test("profileSimilarity is case-insensitive") {
-    assert(profileSimilarity(Seq("EDBT"), Seq("edbt")) == 1.0)
+    assert(profileSimilarity(Seq("EDBT"), Seq("edbt"), _ => 1L) == 1.0)
   }
   test("profileSimilarity rejects arity mismatch") {
-    intercept[IllegalArgumentException](profileSimilarity(Seq("a"), Seq("a", "b")))
+    intercept[IllegalArgumentException](profileSimilarity(Seq("a"), Seq("a", "b"), _ => 1L))
   }
   test("profileSimilarity of typo'd profile stays above the match threshold") {
     val a = Seq("james", "smith", "12 main street", "springfield", "1975")
     val b = Seq("jmaes", "smith", "12 main street", "springfield", null)
-    assert(profileSimilarity(a, b) > 0.9)
+    assert(profileSimilarity(a, b, _ => 1L) > 0.9)
   }
   test("profileSimilarity of unrelated profiles stays below the match threshold") {
     val a = Seq("james", "smith", "12 main street", "springfield", "1975")
     val b = Seq("maria", "garcia", "9 oak avenue", "riverton", "1991")
-    assert(profileSimilarity(a, b) < 0.85)
+    assert(profileSimilarity(a, b, _ => 1L) < 0.85)
   }
 }

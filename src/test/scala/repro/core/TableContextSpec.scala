@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.storage.StorageLevel
 import repro.{Fixtures, SparkSpec}
 
 /** Once-off per-table state: TBI, block sizes, value frequencies, LI. */
@@ -42,6 +43,15 @@ class TableContextSpec extends SparkSpec {
     assert(f("edbt") == 3L)      // venue of P1, P6, P8
     assert(f("2008") == 2L)      // year of P1, P2
     assert(!f.contains("collective entity resolution")) // unique values omitted
+  }
+
+  test("unpersistAll releases every index, the refined TBIs included") {
+    val c = ctx
+    val indices =
+      Seq(c.rows, c.tbi, c.blockSizes, c.retainedTbi(MbConfig.All), c.retainedTbi(MbConfig.BpEp))
+    assert(indices.forall(_.storageLevel != StorageLevel.NONE))
+    c.unpersistAll()
+    assert(indices.forall(_.storageLevel == StorageLevel.NONE))
   }
 
   test("link index starts empty and resets") {

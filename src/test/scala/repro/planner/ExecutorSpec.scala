@@ -3,6 +3,7 @@ package repro.planner
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.core._
+import repro.benchrun.Experiments
 import repro.data.Datasets
 
 /** Query Executor (paper §7.2.2): SP and SPJ dedupe queries, the batch
@@ -123,6 +124,17 @@ class ExecutorSpec extends SparkSpec {
       out.withColumnRenamed("lclean_lv", "lv").withColumnRenamed("rclean_rv", "rv"),
       "SELECT l.lv AS lv, r.rv AS rv FROM lt l JOIN rt r ON l.k = r.k",
       "lt" -> l, "rt" -> r)
+  }
+
+  test("no query leaves storage cached") {
+    val (p, v) = (Experiments.warm(pCtx), Experiments.warm(vCtx))
+    def persisted = spark.sparkContext.getPersistentRDDs.keySet
+    val before = persisted
+    Executor.runSelect(p, SelectSpec("p", EqPred("venue", "EDBT")), cfg)
+    Executor.runJoin(p, v, joinSpec, AdvancedPlanner, cfg)
+    Executor.runBatchSelect(p, SelectSpec("p", EqPred("venue", "EDBT")), cfg)
+    Executor.runBatchJoin(p, v, joinSpec, cfg)
+    assert(persisted == before)
   }
 
   test("runJoin on generated ppl⋈oao resolves duplicates on both sides") {

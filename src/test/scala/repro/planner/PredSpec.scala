@@ -50,13 +50,6 @@ class PredSpec extends SparkSpec {
   test("TruePred selects everything") {
     check(TruePred, "1 = 1")
   }
-  test("literalTokens exposes blocking keys of literals only") {
-    assert(EqPred("venue", "Very Large Data Bases").literalTokens ==
-      Seq("very", "large", "data", "bases"))
-    assert(RangePred("year", 1, 2).literalTokens.isEmpty)
-    assert(ModLtPred(10, 1).literalTokens.isEmpty)
-    assert(AndPred(EqPred("a", "x1 y2"), EqPred("b", "x1")).literalTokens == Seq("x1", "y2"))
-  }
   test("CmpPred rejects unknown operators") {
     intercept[IllegalArgumentException](CmpPred("year", "!=", 1.0).toColumn)
   }
