@@ -137,7 +137,7 @@ object Experiments {
         "Meta-blocking" -> pct(t.metaBlockingMs, s.totalMs),
         "Resolution" -> pct(t.comparisonMs, s.totalMs),
         "Group" -> pct(t.groupMs, s.totalMs),
-        "Other" -> pct(t.blockingMs + t.otherMs, s.totalMs),
+        "Other" -> pct(t.otherMs, s.totalMs),
       )
     }
   }

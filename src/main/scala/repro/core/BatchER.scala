@@ -41,16 +41,18 @@ final case class BatchResult(full: DedupOutcome, elapsedMs: Long) {
 object BatchER {
 
   /** The batch run of `ctx` under `cfg`, memoised on the context. */
-  def run(ctx: TableContext, cfg: DedupConfig = DedupConfig()): BatchResult =
-    ctx.batchMemo.getOrElseUpdate(cfg.copy(useLinkIndex = false), {
+  def run(ctx: TableContext, cfg: DedupConfig = DedupConfig()): BatchResult = {
+    val runCfg = cfg.copy(useLinkIndex = false, computePc = false)
+    ctx.batchMemo.getOrElseUpdate(runCfg, {
       val spark = ctx.spark
       import spark.implicits._
       val (outcome, ms) = Measures.timed {
         val allIds = ctx.rows.select(F.col(Tokenizer.EidCol)).as[Long].collect().toSet
-        val out = Deduplicate.run(ctx, allIds, cfg.copy(useLinkIndex = false, computePc = false))
+        val out = Deduplicate.run(ctx, allIds, runCfg)
         out.clusterOf // the clusters are part of the one-off cleaning cost
         out
       }
       BatchResult(outcome, ms)
     })
+  }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.{DataFrame, Row, functions => F}
 
 /** Comparison-Execution (paper §6.1.iv): run the resolution function on
   * every candidate pair that survived meta-blocking and keep pairs whose
@@ -8,15 +8,15 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   */
 object ComparisonExecution {
 
-  /** Execute the comparisons in `pairs` against the entity rows of `ctx`;
-    * the `(aid, bid, sim)` matched links, aid < bid. Every pair is one
-    * executed comparison (the paper's `Comp.` measure), so the caller
-    * counts `pairs` for it.
+  /** Execute the comparisons in `pairs` against the entity rows of `ctx`
+    * in one Spark action: the number of executed comparisons (the paper's
+    * `Comp.` measure, one per pair) and the matched `(aid, bid)` links,
+    * aid < bid. Only the links reach the driver.
     *
     * @param pairs     `(aid, bid, ...)` candidate pairs (canonical order)
     * @param threshold profile-similarity match threshold θ
     */
-  def execute(ctx: TableContext, pairs: DataFrame, threshold: Double): DataFrame = {
+  def execute(ctx: TableContext, pairs: DataFrame, threshold: Double): (Long, Seq[(Long, Long)]) = {
     val freq = ctx.valueFreq // captured in the UDF closure; values are lowercased
     val simUdf = F.udf((a: Seq[String], b: Seq[String]) =>
       Similarity.profileSimilarity(a, b,
@@ -24,11 +24,12 @@ object ComparisonExecution {
     val attrArr = F.array(ctx.attrs.map(a => F.col(a).cast("string")): _*)
     val left  = ctx.rows.select(F.col(Tokenizer.EidCol).as("aid"), attrArr.as("aAttrs"))
     val right = ctx.rows.select(F.col(Tokenizer.EidCol).as("bid"), attrArr.as("bAttrs"))
-    pairs.select("aid", "bid")
+    val matched = simUdf(F.col("aAttrs"), F.col("bAttrs")) >= threshold
+    val r = pairs.select("aid", "bid")
       .join(left, "aid")
       .join(right, "bid")
-      .withColumn("sim", simUdf(F.col("aAttrs"), F.col("bAttrs")))
-      .where(F.col("sim") >= threshold)
-      .select("aid", "bid", "sim")
+      .agg(F.count("*"), F.collect_list(F.when(matched, F.struct("aid", "bid"))))
+      .collect()(0)
+    (r.getLong(0), r.getSeq[Row](1).map(l => (l.getLong(0), l.getLong(1))))
   }
 }

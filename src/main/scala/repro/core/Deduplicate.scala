@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, functions => F}
+import org.apache.spark.storage.StorageLevel
 import repro.metrics.Measures
 
 /** Configuration of a Dedupe query execution. */
@@ -11,7 +12,11 @@ final case class DedupConfig(
     computePc: Boolean = false,
 )
 
-/** Wall-clock per Deduplicate-operator stage (paper Table 6 breakdown). */
+/** Wall-clock per Deduplicate-operator stage (paper Table 6 breakdown).
+  *
+  * @param blockingMs Query Blocking; it runs inside the Block-Join action,
+  *                   which `blockJoinMs` times, so the operator leaves it 0
+  */
 final case class StageTimes(
     blockingMs: Long = 0,
     blockJoinMs: Long = 0,
@@ -61,8 +66,9 @@ final case class DedupOutcome(
 /** The Deduplicate operator (paper §6.1): Query Blocking → Block-Join →
   * Meta-Blocking (BP, BF, EP) → Comparison-Execution, amending the Link
   * Index with the resolved links. Every stage is a Catalyst composition
-  * over the table's TBI; stages are materialised so the paper's per-stage
-  * time breakdown can be reported.
+  * over the table's TBI and launches at most one Spark action, which its
+  * stage time measures (paper Table 6): Block-Join one, Meta-Blocking one
+  * for Edge Pruning (none without it), Comparison-Execution one.
   */
 object Deduplicate {
   import Tokenizer.EidCol
@@ -75,65 +81,47 @@ object Deduplicate {
   }
 
   def run(ctx: TableContext, qeIds: Set[Long], cfg: DedupConfig): DedupOutcome = {
-    val spark = ctx.spark
-    import spark.implicits._
-
     // LI short-circuit: only entities whose link-sets are not yet known
     // feed the ER pipeline (paper §6.1: "we only need to compute the
     // link-sets of those entities in QE_E that are not already in LI_E").
     val unresolved: Set[Long] =
       if (cfg.useLinkIndex) qeIds.filterNot(ctx.li.isResolved) else qeIds
 
-    var times            = StageTimes()
-    var comparisons      = 0L
-    var candidateBlocks  = 0L
-    var pc: Option[Double]          = None
-    var newLinks: Seq[(Long, Long)] = Nil
+    val (comparisons, candidateBlocks, newLinks, times, pc) =
+      if (unresolved.isEmpty) (0L, 0L, Nil, StageTimes(), None)
+      else {
+        // (i)+(ii) Query Blocking and Block-Join — the enriched EQBI over
+        // the BP/BF-refined TBI; the QBI keys stay lazy and are evaluated
+        // by this stage's one action, which counts the candidate blocks.
+        val ((eqbi, blocks), tJoin) = Measures.timed {
+          val e = blockJoin(ctx, qbiKeys(ctx, unresolved), unresolved, cfg.mb).cache()
+          (e, e.select("token").distinct().count())
+        }
 
-    if (unresolved.nonEmpty) {
-      // (i) Query Blocking — the QBI keys of the unresolved QE entities.
-      val (keys, tBlk) = Measures.timed {
-        val k = qbiKeys(ctx, unresolved).cache()
-        k.count()
-        k
+        // (iii) Meta-Blocking — comparison refinement: the candidate pairs
+        // of the EQBI (block refinement already folded into the index),
+        // Edge Pruning per configuration. The raw pairs are persisted only
+        // when read twice, by EP's mean weight (this stage's one action) or
+        // by PC; under BP+BF the pair work is timed by (iv).
+        val readTwice = cfg.mb.edgePruning || cfg.computePc
+        val ((raw, pairs), tMeta) = Measures.timed {
+          val c = MetaBlocking.candidatePairs(eqbi)
+          val r = if (readTwice) c.persist(StorageLevel.MEMORY_AND_DISK) else c
+          (r, if (cfg.mb.edgePruning) MetaBlocking.edgePruning(r) else r)
+        }
+
+        // (iv) Comparison-Execution — resolution function on each pair.
+        val ((n, links), tCmp) =
+          Measures.timed(ComparisonExecution.execute(ctx, pairs, cfg.simThreshold))
+
+        // PC runs after the timed stages and reads the persisted pairs.
+        val pc = Option.when(cfg.computePc && ctx.truth.isDefined)(
+          Measures.pairCompleteness(ctx, unresolved, pairs))
+
+        raw.unpersist(); eqbi.unpersist()
+        (n, blocks, links,
+          StageTimes(blockJoinMs = tJoin, metaBlockingMs = tMeta, comparisonMs = tCmp), pc)
       }
-
-      // (ii) Block-Join — the enriched EQBI over the BP/BF-refined TBI.
-      val (eqbi, tJoin) = Measures.timed {
-        val e = blockJoin(ctx, keys, unresolved, cfg.mb).cache()
-        candidateBlocks = e.select("token").distinct().count()
-        e
-      }
-
-      // (iii) Meta-Blocking — comparison refinement: the candidate pairs
-      // of the EQBI (block refinement already folded into the index),
-      // Edge Pruning per configuration. The raw pairs are persisted so
-      // EP's mean-weight aggregate does not re-evaluate the pair DAG.
-      val (pairs, tMeta) = Measures.timed {
-        val raw = MetaBlocking.candidatePairs(eqbi)
-          .persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
-        val p =
-          if (cfg.mb.edgePruning) MetaBlocking.edgePruning(raw).cache()
-          else raw
-        comparisons = p.count()
-        if (p ne raw) raw.unpersist()
-        p
-      }
-
-      if (cfg.computePc && ctx.truth.isDefined)
-        pc = Some(Measures.pairCompleteness(ctx, unresolved, pairs))
-
-      // (iv) Comparison-Execution — resolution function on each pair.
-      val (_, tCmp) = Measures.timed {
-        newLinks = ComparisonExecution.execute(ctx, pairs, cfg.simThreshold)
-          .select(F.col("aid"), F.col("bid")).as[(Long, Long)].collect().toSeq
-      }
-
-      times = StageTimes(blockingMs = tBlk, blockJoinMs = tJoin,
-        metaBlockingMs = tMeta, comparisonMs = tCmp)
-
-      pairs.unpersist(); eqbi.unpersist(); keys.unpersist()
-    }
 
     // Amend the LI (a scratch one when it is off) and assemble
     // DR = QE ∪ duplicates-of-QE.

@@ -85,32 +85,33 @@ object MetaBlocking {
     t
   }
 
+  /** Block sizes |b| of a block collection as `(token, bsize)`. */
+  def blockSizes(entries: DataFrame): DataFrame =
+    entries.groupBy("token").agg(F.count("*").as("bsize"))
+
   /** Block Purging: drop blocks whose cardinality exceeds the threshold
-    * computed from this collection's own size histogram. Returns the
-    * filtered entries and the chosen threshold.
+    * computed from this collection's own size histogram. `sizes` holds
+    * the `(token, bsize)` block sizes of `entries`. Returns the filtered
+    * entries and the chosen threshold.
     */
-  def purge(entries: DataFrame): (DataFrame, Long) = {
+  def purge(entries: DataFrame, sizes: DataFrame): (DataFrame, Long) = {
     val nEntities = entries.select("eid").distinct().count()
-    val hist = entries
-      .groupBy("token").count()
-      .groupBy("count").agg(F.count("*").as("nblocks"))
+    val hist = sizes
+      .groupBy("bsize").agg(F.count("*").as("nblocks"))
       .collect()
       .map(r => (r.getLong(0), r.getLong(1)))
       .toSeq
     val t = purgeThreshold(hist, nEntities = nEntities)
-    val keep = entries
-      .groupBy("token").agg(F.count("*").as("bsize"))
-      .where(F.expr(s"bsize * (bsize - 1) / 2 <= ${t}L"))
-      .select("token")
+    val keep = sizes.where(F.expr(s"bsize * (bsize - 1) / 2 <= ${t}L")).select("token")
     (entries.join(keep, "token"), t)
   }
 
   /** Block Filtering: every entity is retained only in its
     * ⌈p·‖Bₑ‖⌉ smallest blocks (ties broken by token for determinism),
     * reflecting that a block has different importance per entity [27].
+    * `sizes` holds `(token, bsize)` for every block of `entries`.
     */
-  def filter(entries: DataFrame, p: Double = 0.8): DataFrame = {
-    val sizes = entries.groupBy("token").agg(F.count("*").as("bsize"))
+  def filter(entries: DataFrame, sizes: DataFrame, p: Double = 0.8): DataFrame = {
     val byEntity  = Window.partitionBy("eid").orderBy(F.col("bsize"), F.col("token"))
     val perEntity = Window.partitionBy("eid")
     entries
@@ -131,7 +132,7 @@ object MetaBlocking {
     * co-occurrence in an oversized one.
     */
   def candidatePairs(entries: DataFrame): DataFrame = {
-    val sizes = entries.groupBy("token").agg(F.count("*").as("bsize"))
+    val sizes = blockSizes(entries)
     // blocks reduced to one entity (e.g. by Block Filtering) carry no pairs
     val withCard = entries.join(sizes.where(F.col("bsize") >= 2), "token")
       .withColumn("invCard", F.lit(2.0) / (F.col("bsize") * (F.col("bsize") - 1)))

@@ -41,8 +41,7 @@ final class TableContext(
 
   /** Block sizes |b| per blocking key. */
   lazy val blockSizes: DataFrame = {
-    val s = tbi.groupBy("token").agg(F.count("*").as("bsize"))
-      .persist(StorageLevel.MEMORY_AND_DISK)
+    val s = MetaBlocking.blockSizes(tbi).persist(StorageLevel.MEMORY_AND_DISK)
     s.count()
     s
   }
@@ -77,13 +76,15 @@ final class TableContext(
     * rather than per-query EQBI keeps the refinement decisions identical
     * between a query's sub-graph and the full-table graph (the paper's
     * DQ-Correctness needs deterministic, scope-stable meta-blocking) and
-    * moves the cost into the once-off initialisation.
+    * moves the cost into the once-off initialisation. Both methods read
+    * the cached block sizes: BP drops whole blocks, so every block it
+    * keeps has its TBI size.
     */
   def retainedTbi(mb: MbConfig): DataFrame =
     retainedMemo.getOrElseUpdate((mb.purge, mb.filter), {
       var cur = tbi
-      if (mb.purge) cur = MetaBlocking.purge(cur)._1
-      if (mb.filter) cur = MetaBlocking.filter(cur)
+      if (mb.purge) cur = MetaBlocking.purge(cur, blockSizes)._1
+      if (mb.filter) cur = MetaBlocking.filter(cur, blockSizes)
       val d = cur.persist(StorageLevel.MEMORY_AND_DISK)
       d.count()
       d

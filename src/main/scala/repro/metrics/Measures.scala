@@ -31,12 +31,11 @@ object Measures {
     val gtPairs = a.join(b, "cluster")
       .where(F.col("aid") < F.col("bid"))
       .where(inQe(F.col("aid")) || inQe(F.col("bid")))
-      .select("aid", "bid")
-      .cache()
-    val gt = gtPairs.count()
-    if (gt == 0L) { gtPairs.unpersist(); return 1.0 }
-    val hit = gtPairs.join(candidatePairs.select("aid", "bid"), Seq("aid", "bid")).count()
-    gtPairs.unpersist()
-    hit.toDouble / gt
+    val hits = candidatePairs.select(F.col("aid"), F.col("bid"), F.lit(true).as("hit"))
+    val r = gtPairs.join(hits, Seq("aid", "bid"), "left")
+      .agg(F.count("*"), F.count("hit"))
+      .collect()(0)
+    val (gt, hit) = (r.getLong(0), r.getLong(1))
+    if (gt == 0L) 1.0 else hit.toDouble / gt
   }
 }

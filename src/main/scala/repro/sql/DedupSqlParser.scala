@@ -155,7 +155,10 @@ object DedupSqlParser {
     case EqualTo(a: UnresolvedAttribute, Literal(v, _))          => EqPred(attr(a), s"$v")
     case EqualTo(Literal(v, _), a: UnresolvedAttribute)          => EqPred(attr(a), s"$v")
     case In(a: UnresolvedAttribute, vs) =>
-      InPred(attr(a), vs.map { case Literal(v, _) => s"$v" })
+      InPred(attr(a), vs.map {
+        case Literal(v, _) => s"$v"
+        case other => throw new IllegalArgumentException(s"unsupported IN element: $other")
+      })
     case LessThan(a: UnresolvedAttribute, Literal(v, _))         => CmpPred(attr(a), "<", num(v))
     case LessThanOrEqual(a: UnresolvedAttribute, Literal(v, _))  => CmpPred(attr(a), "<=", num(v))
     case GreaterThan(a: UnresolvedAttribute, Literal(v, _))      => CmpPred(attr(a), ">", num(v))

@@ -52,6 +52,8 @@ class BatchERSpec extends SparkSpec {
     val b1 = BatchER.run(ctx)
     val b2 = BatchER.run(ctx)
     assert(b1 eq b2)
+    // the batch run ignores computePc, so the memo does too
+    assert(BatchER.run(ctx, DedupConfig(computePc = true)) eq b1)
   }
 
   test("batch runs of two contexts are kept apart") {

@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import repro.{Fixtures, SparkSpec}
+import repro.benchrun.Experiments
 import repro.data.Datasets
 
 /** The Deduplicate operator end-to-end (paper §6.1). */
@@ -67,6 +69,65 @@ class DeduplicateSpec extends SparkSpec {
     val t = out.stats.times
     assert(t.blockingMs >= 0 && t.blockJoinMs >= 0 && t.metaBlockingMs >= 0 && t.comparisonMs >= 0)
     assert(t.totalMs >= t.comparisonMs)
+  }
+
+  /** Records the call site of each job of one job group, in start order;
+    * `drain` waits for the listener bus as perfbench's
+    * `SparkCounters.drain` does.
+    */
+  private final class JobCounter(group: String) extends SparkListener {
+    private val running   = scala.collection.mutable.Set.empty[Int]
+    private var sites     = Vector.empty[String]
+    private var lastEvent = System.nanoTime()
+    override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+      if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
+        sites :+= e.stageInfos.maxBy(_.stageId).name
+        running += e.jobId; lastEvent = System.nanoTime()
+      }
+    }
+    override def onJobEnd(e: SparkListenerJobEnd): Unit = synchronized {
+      if (running.remove(e.jobId)) lastEvent = System.nanoTime()
+    }
+    def drain(): Vector[String] = {
+      val deadline = System.nanoTime() + 10000000000L
+      def settled = synchronized(running.isEmpty && System.nanoTime() - lastEvent > 100000000L)
+      while (!settled && System.nanoTime() < deadline) Thread.sleep(5)
+      synchronized(sites)
+    }
+  }
+
+  /** Call sites of the jobs one `Deduplicate.run` of the fixture's QE
+    * launches, with adaptive execution off.
+    */
+  private def jobSites(cfg: DedupConfig): Vector[String] = {
+    val sc       = spark.sparkContext
+    val adaptive = spark.conf.get("spark.sql.adaptive.enabled")
+    val group    = s"dedup-${cfg.mb.label}-${cfg.computePc}"
+    spark.conf.set("spark.sql.adaptive.enabled", false)
+    try {
+      val ctx     = Experiments.warm(freshPubsCtx, cfg.mb)
+      val counter = new JobCounter(group)
+      sc.addSparkListener(counter)
+      sc.setJobGroup(group, "job count")
+      try Deduplicate.run(ctx, Set(1L, 6L, 8L), cfg)
+      finally sc.clearJobGroup()
+      try counter.drain() finally sc.removeSparkListener(counter)
+    } finally spark.conf.set("spark.sql.adaptive.enabled", adaptive)
+  }
+
+  test("one Spark job per stage action: 3 under ALL, 2 under BP+BF") {
+    def jobsOf(mb: MbConfig) = jobSites(DedupConfig(mb = mb, useLinkIndex = false)).size
+    assert(jobsOf(MbConfig.All) == 3)
+    assert(jobsOf(MbConfig.BpBf) == 2)
+  }
+
+  test("PC runs after the timed stages, which launch the same jobs as without it") {
+    for (mb <- Seq(MbConfig.All, MbConfig.BpBf)) {
+      val plain = jobSites(DedupConfig(mb = mb, useLinkIndex = false))
+      val withPc = jobSites(DedupConfig(mb = mb, useLinkIndex = false, computePc = true))
+      assert(withPc.init == plain, mb.label)
+      assert(withPc.last.contains("Measures.scala"), withPc.last)
+    }
   }
 
   test("PC is computed against ground truth when requested") {

@@ -56,14 +56,15 @@ class MetaBlockingSpec extends SparkSpec with PropSupport {
     val big   = (1L to 120L).map(i => ("common", i, true))
     val small = Seq(("rare1", 1L, true), ("rare1", 2L, false),
                     ("rare2", 3L, true), ("rare2", 4L, false))
-    val (kept, t) = purge(entries((big ++ small): _*))
+    val e = entries((big ++ small): _*)
+    val (kept, t) = purge(e, blockSizes(e))
     val tokens = kept.select("token").distinct().collect().map(_.getString(0)).toSet
     assert(tokens == Set("rare1", "rare2"))
     assert(t < cardinality(120))
   }
   test("purge keeps all blocks when sizes are homogeneous") {
     val e = entries(("a", 1L, true), ("a", 2L, true), ("b", 3L, true), ("b", 4L, true))
-    val (kept, _) = purge(e)
+    val (kept, _) = purge(e, blockSizes(e))
     assert(kept.count() == 4)
   }
 
@@ -72,17 +73,17 @@ class MetaBlockingSpec extends SparkSpec with PropSupport {
     val e = entries(
       ("small", 1L, true), ("small", 2L, true),
       ("large", 1L, true), ("large", 3L, true), ("large", 4L, true), ("large", 5L, true))
-    val kept = filter(e, p = 0.5)
+    val kept = filter(e, blockSizes(e), p = 0.5)
     val e1 = kept.where("eid = 1").select("token").collect().map(_.getString(0)).toSet
     assert(e1 == Set("small"))
   }
   test("filter keeps at least one block per entity") {
     val e = entries(("only", 1L, true), ("only", 2L, true))
-    assert(filter(e, p = 0.01).where("eid = 1").count() == 1)
+    assert(filter(e, blockSizes(e), p = 0.01).where("eid = 1").count() == 1)
   }
   test("filter with p=1 keeps everything") {
     val e = entries(("a", 1L, true), ("a", 2L, true), ("b", 1L, true), ("b", 3L, true))
-    assert(filter(e, p = 1.0).count() == e.count())
+    assert(filter(e, blockSizes(e), p = 1.0).count() == e.count())
   }
 
   test("candidatePairs emits each co-occurring pair once with its ARCS weight") {

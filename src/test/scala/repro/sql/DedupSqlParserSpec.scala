@@ -82,5 +82,7 @@ class DedupSqlParserSpec extends SparkSpec {
   test("rejects unsupported WHERE shapes") {
     intercept[IllegalArgumentException](
       parse(spark, "SELECT DEDUP * FROM t WHERE a LIKE 'x%'"))
+    intercept[IllegalArgumentException](
+      parse(spark, "SELECT DEDUP * FROM t WHERE venue IN ('EDBT', title)"))
   }
 }
