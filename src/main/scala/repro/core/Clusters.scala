@@ -1,48 +1,21 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Connected components over link-sets (duplicate clusters).
   *
   * Link-sets are orders of magnitude smaller than the data (paper Table 7:
-  * |L_E| ≤ 32% of |E|, clusters ≤ 4 entities), so a driver-side union-find
-  * is the appropriate tool — the paper likewise keeps LI in memory.
+  * |L_E| ≤ 32% of |E|, clusters ≤ 4 entities), so the components are
+  * labelled on the driver by the Link Index — the paper likewise keeps LI
+  * in memory.
   */
 object Clusters {
-
-  /** Union-find with path compression; representative = smallest member. */
-  final class UnionFind {
-    private val parent = mutable.HashMap.empty[Long, Long]
-
-    def find(x: Long): Long = {
-      var root = x
-      while (parent.getOrElse(root, root) != root) root = parent(root)
-      // path compression
-      var cur = x
-      while (parent.getOrElse(cur, cur) != cur) {
-        val next = parent(cur); parent(cur) = root; cur = next
-      }
-      root
-    }
-
-    def union(a: Long, b: Long): Unit = {
-      val ra = find(a); val rb = find(b)
-      if (ra != rb) {
-        // keep the smaller id as representative → deterministic cluster ids
-        if (ra < rb) parent(rb) = ra else parent(ra) = rb
-      }
-    }
-
-    def add(x: Long): Unit = if (!parent.contains(x)) parent(x) = find(x)
-  }
 
   /** Map every id to its cluster representative (min id of the component).
     * Ids without links map to themselves.
     */
   def fromLinks(ids: Iterable[Long], links: Iterable[(Long, Long)]): Map[Long, Long] = {
-    val uf = new UnionFind
-    ids.foreach(uf.add)
-    links.foreach { case (a, b) => uf.union(a, b) }
-    ids.map(id => id -> uf.find(id)).toMap
+    val li = new LinkIndex
+    li.addLinks(links)
+    val keep = ids.toSet
+    li.clusters(ids).filter { case (id, _) => keep(id) }
   }
 }

@@ -43,14 +43,20 @@ final case class DedupStats(
     pc: Option[Double],
 )
 
-/** Output of the Deduplicate operator: DR_E = ⟨QE ∪ dups-of-QE, L_E⟩. */
+/** Output of the Deduplicate operator: DR_E = ⟨QE ∪ dups-of-QE, L_E⟩.
+  *
+  * @param clusterOf cluster representative per DR entity (connected
+  *                  components of L_E); its keys are DR
+  */
 final case class DedupOutcome(
     ctx: TableContext,
     qeIds: Set[Long],
-    drIds: Set[Long],
+    clusterOf: Map[Long, Long],
     links: Seq[(Long, Long)],
     stats: DedupStats,
 ) {
+  def drIds: Set[Long] = clusterOf.keySet
+
   /** Entity rows of the DR set. */
   def drRows: DataFrame = {
     val spark = ctx.spark
@@ -58,9 +64,6 @@ final case class DedupOutcome(
     val ids = spark.createDataset(drIds.toSeq).toDF(Tokenizer.EidCol)
     ctx.rows.join(ids, Tokenizer.EidCol)
   }
-
-  /** Cluster representative per DR entity (connected components of L_E). */
-  lazy val clusterOf: Map[Long, Long] = Clusters.fromLinks(drIds, links)
 }
 
 /** The Deduplicate operator (paper §6.1): Query Blocking → Block-Join →
@@ -124,13 +127,13 @@ object Deduplicate {
       }
 
     // Amend the LI (a scratch one when it is off) and assemble
-    // DR = QE ∪ duplicates-of-QE.
+    // DR = QE ∪ duplicates-of-QE, clustered by the LI's components.
     val li = if (cfg.useLinkIndex) ctx.li else new LinkIndex
     li.addLinks(newLinks)
     if (cfg.useLinkIndex) li.markResolved(unresolved)
-    val dr = li.closure(qeIds)
-    DedupOutcome(ctx, qeIds, dr, li.linksAmong(dr),
-      DedupStats(qeIds.size, unresolved.size, dr.size, comparisons, candidateBlocks, times, pc))
+    val clusterOf = li.clusters(qeIds)
+    DedupOutcome(ctx, qeIds, clusterOf, li.linksAmong(clusterOf.keySet),
+      DedupStats(qeIds.size, unresolved.size, clusterOf.size, comparisons, candidateBlocks, times, pc))
   }
 
   /** Query Blocking: the distinct blocking keys (QBI) of the `ids`

@@ -42,6 +42,19 @@ final class LinkIndex {
     seen.toSet
   }
 
+  /** Duplicate clusters of `ids`: every member of each seed's connected
+    * component mapped to the component's smallest id (its representative).
+    */
+  def clusters(ids: Iterable[Long]): Map[Long, Long] =
+    ids.foldLeft(Map.empty[Long, Long]) { (m, id) =>
+      if (m.contains(id)) m
+      else {
+        val component = closure(Seq(id))
+        val rep       = component.min
+        m ++ component.iterator.map(_ -> rep)
+      }
+    }
+
   /** All links among `ids` (both ends inside), canonically ordered. */
   def linksAmong(ids: Set[Long]): Seq[(Long, Long)] =
     ids.iterator.flatMap { a =>

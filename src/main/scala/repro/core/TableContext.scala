@@ -25,26 +25,20 @@ final class TableContext(
   /** Attribute names (everything but the entity id). */
   val attrs: Seq[String] = Tokenizer.attrCols(df)
 
-  /** Entity rows, cached — queries repeatedly scan them. */
-  lazy val rows: DataFrame = {
-    val d = df.persist(StorageLevel.MEMORY_AND_DISK)
-    d.count()
+  /** Persist `d` and fill its cache with one action. */
+  private def materialise(d: DataFrame): DataFrame = {
+    d.persist(StorageLevel.MEMORY_AND_DISK).count()
     d
   }
 
+  /** Entity rows, cached — queries repeatedly scan them. */
+  lazy val rows: DataFrame = materialise(df)
+
   /** TBI_E as `(eid, token)` entity/block incidence pairs. */
-  lazy val tbi: DataFrame = {
-    val t = Tokenizer.tokenize(rows).persist(StorageLevel.MEMORY_AND_DISK)
-    t.count()
-    t
-  }
+  lazy val tbi: DataFrame = materialise(Tokenizer.tokenize(rows))
 
   /** Block sizes |b| per blocking key. */
-  lazy val blockSizes: DataFrame = {
-    val s = MetaBlocking.blockSizes(tbi).persist(StorageLevel.MEMORY_AND_DISK)
-    s.count()
-    s
-  }
+  lazy val blockSizes: DataFrame = materialise(MetaBlocking.blockSizes(tbi))
 
   lazy val size: Long          = rows.count()
   lazy val tbiBlockCount: Long = blockSizes.count()
@@ -85,9 +79,7 @@ final class TableContext(
       var cur = tbi
       if (mb.purge) cur = MetaBlocking.purge(cur, blockSizes)._1
       if (mb.filter) cur = MetaBlocking.filter(cur, blockSizes)
-      val d = cur.persist(StorageLevel.MEMORY_AND_DISK)
-      d.count()
-      d
+      materialise(cur)
     })
 
   /** Memoised planner statistics (duplication factor, join percentages). */

@@ -13,8 +13,15 @@ import repro.planner._
   * parser; the resulting logical plan is walked into a [[SelectSpec]] /
   * [[JoinSpec]] covering the paper's flat SPJ class (equality, IN,
   * numeric comparisons, AND/OR, one equi-join).
+  *
+  * Every column of the statement belongs to the FROM relation its
+  * qualifier names — the relation's alias if it has one, else its table
+  * name; an unqualified column belongs to the first relation, except in
+  * the ON clause, where it takes the side its partner does not. WHERE is
+  * routed conjunct by conjunct; a conjunct naming both relations, or an
+  * unknown qualifier, is rejected.
   */
-object DedupSqlParser {
+object DedupSqlParser extends PredicateHelper {
 
   private val DedupPrefix = "(?is)^(\\s*select\\s+)dedup\\s+".r
 
@@ -35,122 +42,81 @@ object DedupSqlParser {
     fromPlan(plan)
   }
 
+  /** A FROM-clause relation: the registered table and the name its
+    * columns are qualified by (the alias, else the table name).
+    */
+  private final case class Relation(table: String, name: String)
+
   /** Walk a parsed (unresolved) logical plan into a query spec. */
   def fromPlan(plan: LogicalPlan): Parsed = {
-    // Peel the outer Project (projection list).
     val (projExprs, belowProject) = plan match {
       case Project(exprs, child) => (exprs, child)
       case other                 => (Nil, other)
     }
-    val (pred, belowFilter) = belowProject match {
-      case Filter(cond, child) => (toPred(cond), child)
-      case other               => (TruePred, other)
+    val (conjuncts, from) = belowProject match {
+      case Filter(cond, child) => (splitConjunctivePredicates(cond), child)
+      case other               => (Nil, other)
     }
-    stripAliases(belowFilter) match {
-      case Join(l, r, Inner, Some(cond), _) =>
-        val lTable = tableOf(l)
-        val rTable = tableOf(r)
-        val (lAttr, rAttr) = joinAttrs(cond, lTable, rTable)
-        // WHERE conditions are routed to the side owning the attribute.
-        val (lPred, rPred) = splitPred(pred, lTable, rTable)
-        val projection = projExprs.flatMap {
-          case UnresolvedStar(_) => Nil
-          case a: UnresolvedAttribute if a.nameParts.length >= 2 =>
-            Seq((a.nameParts.init.last, a.nameParts.last))
-          case a: UnresolvedAttribute =>
-            Seq((lTable, a.nameParts.last)) // unqualified → left by convention
-          case Alias(a: UnresolvedAttribute, _) if a.nameParts.length >= 2 =>
-            Seq((a.nameParts.init.last, a.nameParts.last))
-          case other =>
-            throw new IllegalArgumentException(s"unsupported projection: $other")
-        }
-        ParsedJoin(JoinSpec(
-          SelectSpec(lTable, lPred), SelectSpec(rTable, rPred), lAttr, rAttr, projection))
-      case rel =>
-        val table = tableOf(rel)
-        val projection = projExprs.flatMap {
-          case UnresolvedStar(_)          => Nil
-          case a: UnresolvedAttribute     => Seq(a.nameParts.last)
-          case Alias(a: UnresolvedAttribute, _) => Seq(a.nameParts.last)
-          case other =>
-            throw new IllegalArgumentException(s"unsupported projection: $other")
-        }
-        ParsedSelect(SelectSpec(table, dequalify(pred), projection))
+    val (rels, on) = from match {
+      case Join(l, r, Inner, Some(cond), _) => (Seq(relation(l), relation(r)), Some(cond))
+      case rel                              => (Seq(relation(rel)), None)
+    }
+
+    // The one rule: the index in `rels` of the relation a column's
+    // qualifier names; None when the column is unqualified.
+    def relationOf(a: UnresolvedAttribute): Option[Int] =
+      a.nameParts.init.lastOption.map { q =>
+        val i = rels.indexWhere(_.name.equalsIgnoreCase(q))
+        require(i >= 0, s"unknown qualifier '$q' in $a (FROM names ${rels.map(_.name).mkString(", ")})")
+        i
+      }
+
+    val routed = conjuncts.map { c =>
+      c.collect { case a: UnresolvedAttribute => relationOf(a).getOrElse(0) }.distinct match {
+        case Seq(i) => (i, c)
+        case Seq()  => (0, c)
+        case _      => throw new IllegalArgumentException(s"WHERE term names both tables: $c")
+      }
+    }
+    val preds = rels.indices.map { i =>
+      routed.collect { case (`i`, c) => toPred(c) }.reduceOption(AndPred).getOrElse(TruePred)
+    }
+
+    // output columns are prefixed with the table name, not the alias
+    def column(a: UnresolvedAttribute) = (rels(relationOf(a).getOrElse(0)).table, attr(a))
+    val projection = projExprs.flatMap {
+      case UnresolvedStar(_)                => Nil
+      case a: UnresolvedAttribute           => Seq(column(a))
+      case Alias(a: UnresolvedAttribute, _) => Seq(column(a))
+      case other =>
+        throw new IllegalArgumentException(s"unsupported projection: $other")
+    }
+
+    on match {
+      case None =>
+        ParsedSelect(SelectSpec(rels.head.table, preds.head, projection.map(_._2)))
+      case Some(cond @ EqualTo(a: UnresolvedAttribute, b: UnresolvedAttribute)) =>
+        val ia = relationOf(a).getOrElse(1 - relationOf(b).getOrElse(1))
+        val ib = relationOf(b).getOrElse(1 - ia)
+        require(ia != ib, s"join condition must compare the two tables: $cond")
+        val (lAttr, rAttr) = if (ia == 0) (attr(a), attr(b)) else (attr(b), attr(a))
+        ParsedJoin(JoinSpec(SelectSpec(rels(0).table, preds(0)), SelectSpec(rels(1).table, preds(1)),
+          lAttr, rAttr, projection))
+      case Some(other) =>
+        throw new IllegalArgumentException(s"unsupported join condition: $other")
     }
   }
 
-  private def stripAliases(plan: LogicalPlan): LogicalPlan = plan match {
-    case SubqueryAlias(_, child) => stripAliases(child)
-    case other                   => other
-  }
-
-  private def tableOf(plan: LogicalPlan): String = stripAliases(plan) match {
-    case r: UnresolvedRelation => r.multipartIdentifier.last
+  private def relation(plan: LogicalPlan): Relation = plan match {
+    case r: UnresolvedRelation => Relation(r.multipartIdentifier.last, r.multipartIdentifier.last)
+    case s @ SubqueryAlias(_, r: UnresolvedRelation) => Relation(r.multipartIdentifier.last, s.alias)
     case other =>
       throw new IllegalArgumentException(s"unsupported FROM clause element: $other")
   }
 
-  private def joinAttrs(cond: Expression, lTable: String, rTable: String): (String, String) =
-    cond match {
-      case EqualTo(a: UnresolvedAttribute, b: UnresolvedAttribute) =>
-        val (qa, qb) = (qualifier(a), qualifier(b))
-        if (qa.contains(rTable.toLowerCase) || qb.contains(lTable.toLowerCase))
-          (b.nameParts.last, a.nameParts.last)
-        else (a.nameParts.last, b.nameParts.last)
-      case other =>
-        throw new IllegalArgumentException(s"unsupported join condition: $other")
-    }
-
-  private def qualifier(a: UnresolvedAttribute): Option[String] =
-    if (a.nameParts.length >= 2) Some(a.nameParts.init.last.toLowerCase) else None
-
-  /** Route a conjunctive WHERE clause's terms to the join side owning the
-    * qualified attribute; unqualified terms go left.
+  /** Convert a parsed WHERE expression into the predicate algebra over
+    * bare column names (qualifiers are resolved by the caller).
     */
-  private def splitPred(pred: Pred, lTable: String, rTable: String): (Pred, Pred) = pred match {
-    case TruePred => (TruePred, TruePred)
-    case AndPred(l, r) =>
-      val (ll, lr) = splitPred(l, lTable, rTable)
-      val (rl, rr) = splitPred(r, lTable, rTable)
-      (and(ll, rl), and(lr, rr))
-    case leaf =>
-      if (sideOfLeaf(leaf).exists(_.equalsIgnoreCase(rTable))) (TruePred, dequalify(leaf))
-      else (dequalify(leaf), TruePred)
-  }
-
-  private def and(a: Pred, b: Pred): Pred = (a, b) match {
-    case (TruePred, x) => x
-    case (x, TruePred) => x
-    case (x, y)        => AndPred(x, y)
-  }
-
-  // Leaf predicates built by toPred keep their qualifier in the attr name
-  // as "table.attr" until routed; these helpers split that back out.
-  private def sideOfLeaf(p: Pred): Option[String] = p match {
-    case EqPred(a, _)      => qualifierOfAttr(a)
-    case InPred(a, _)      => qualifierOfAttr(a)
-    case CmpPred(a, _, _)  => qualifierOfAttr(a)
-    case RangePred(a, _, _) => qualifierOfAttr(a)
-    case OrPred(l, _)      => sideOfLeaf(l)
-    case _                 => None
-  }
-
-  private def qualifierOfAttr(a: String): Option[String] =
-    if (a.contains('.')) Some(a.split('.').init.last) else None
-
-  private def dequalify(p: Pred): Pred = p match {
-    case EqPred(a, v)       => EqPred(last(a), v)
-    case InPred(a, vs)      => InPred(last(a), vs)
-    case CmpPred(a, op, v)  => CmpPred(last(a), op, v)
-    case RangePred(a, l, h) => RangePred(last(a), l, h)
-    case AndPred(l, r)      => AndPred(dequalify(l), dequalify(r))
-    case OrPred(l, r)       => OrPred(dequalify(l), dequalify(r))
-    case other              => other
-  }
-
-  private def last(a: String): String = a.split('.').last
-
-  /** Convert a parsed WHERE expression into the predicate algebra. */
   def toPred(e: Expression): Pred = e match {
     case EqualTo(a: UnresolvedAttribute, Literal(v, _))          => EqPred(attr(a), s"$v")
     case EqualTo(Literal(v, _), a: UnresolvedAttribute)          => EqPred(attr(a), s"$v")
@@ -177,9 +143,7 @@ object DedupSqlParser {
       throw new IllegalArgumentException(s"unsupported WHERE expression: $other")
   }
 
-  private def attr(a: UnresolvedAttribute): String = a.nameParts.mkString(".")
-  private def num(v: Any): Double = v match {
-    case n: Number => n.doubleValue()
-    case s         => s.toString.toDouble
-  }
+  private def attr(a: UnresolvedAttribute): String = a.nameParts.last
+  private def num(v: Any): Double =
+    s"$v".toDoubleOption.getOrElse(throw new IllegalArgumentException(s"not a number: '$v'"))
 }

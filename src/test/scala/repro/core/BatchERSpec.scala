@@ -1,14 +1,15 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Fixtures, SparkSpec}
-import repro.data.Datasets
+import repro.SparkSpec
+import repro.data.{Datasets, MotivatingExample}
 
 /** The Batch Approach baseline (paper §5): clean everything, then query. */
 class BatchERSpec extends SparkSpec {
 
   private def freshCtx =
-    TableContext("pubsBatch", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
+    TableContext("pubsBatch", MotivatingExample.publications(spark),
+      Some(MotivatingExample.publicationsTruth(spark)))
 
   test("batch ER resolves every cluster of the motivating example publications") {
     val b = BatchER.run(freshCtx)
@@ -58,7 +59,7 @@ class BatchERSpec extends SparkSpec {
 
   test("batch runs of two contexts are kept apart") {
     val pubs   = freshCtx
-    val venues = TableContext("venuesBatch", Fixtures.venues(spark))
+    val venues = TableContext("venuesBatch", MotivatingExample.venues(spark))
     val (bp, bv) = (BatchER.run(pubs), BatchER.run(venues))
     assert((bp.ctx eq pubs) && (bv.ctx eq venues))
     assert(BatchER.run(pubs) eq bp)

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import repro.PropSupport
 
-/** Union-find / connected components over link-sets. */
+/** Connected components over link-sets. */
 class ClustersSpec extends AnyFunSuite with PropSupport {
 
   test("singleton ids map to themselves") {

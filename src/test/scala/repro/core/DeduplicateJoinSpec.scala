@@ -1,15 +1,18 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
+import repro.data.MotivatingExample
 
 /** Deduplicate-Join operator (paper §6.2, Algorithms 1–2) on the
   * motivating example: P ⋈ V on P.venue = V.title, WHERE P.venue='EDBT'.
   */
 class DeduplicateJoinSpec extends SparkSpec {
 
-  private def pCtx = TableContext("pj", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
-  private def vCtx = TableContext("vj", Fixtures.venues(spark), Some(Fixtures.venuesTruth(spark)))
+  private def pCtx = TableContext("pj", MotivatingExample.publications(spark),
+    Some(MotivatingExample.publicationsTruth(spark)))
+  private def vCtx = TableContext("vj", MotivatingExample.venues(spark),
+    Some(MotivatingExample.venuesTruth(spark)))
 
   private val cfg = DedupConfig(useLinkIndex = false)
 

@@ -1,18 +1,20 @@
 package repro.core
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
 import repro.benchrun.Experiments
-import repro.data.Datasets
+import repro.data.{Datasets, MotivatingExample}
 
 /** The Deduplicate operator end-to-end (paper §6.1). */
 class DeduplicateSpec extends SparkSpec {
 
   private lazy val pubsCtx =
-    TableContext("pubs", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
+    TableContext("pubs", MotivatingExample.publications(spark),
+      Some(MotivatingExample.publicationsTruth(spark)))
 
   private def freshPubsCtx =
-    TableContext("pubsF", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
+    TableContext("pubsF", MotivatingExample.publications(spark),
+      Some(MotivatingExample.publicationsTruth(spark)))
 
   test("deduplicating P1 discovers its duplicate P2") {
     val out = Deduplicate.run(freshPubsCtx, Set(1L), DedupConfig(useLinkIndex = false))

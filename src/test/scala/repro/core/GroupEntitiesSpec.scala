@@ -1,11 +1,12 @@
 package repro.core
 
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
+import repro.data.MotivatingExample
 
 /** Group-Entities operator (paper §6.3, Table 3 presentation). */
 class GroupEntitiesSpec extends SparkSpec {
 
-  private def pubs = Fixtures.publications(spark)
+  private def pubs = MotivatingExample.publications(spark)
 
   test("groups duplicate entities into a single record") {
     val clusters = Map(1L -> 1L, 2L -> 1L)
@@ -64,7 +65,7 @@ class GroupEntitiesSpec extends SparkSpec {
   }
 
   test("hyper-entity of the motivating example venue group") {
-    val v = Fixtures.venues(spark)
+    val v = MotivatingExample.venues(spark)
     val g = GroupEntities.group(v.where("eid IN (1, 4)"), Map(1L -> 1L, 4L -> 1L),
       Seq("title", "rank")).collect()(0)
     val title = g.getString(g.fieldIndex("title")).split(" \\| ").toSet

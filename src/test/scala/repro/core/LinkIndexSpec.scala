@@ -43,6 +43,12 @@ class LinkIndexSpec extends AnyFunSuite {
     val li = new LinkIndex
     assert(li.closure(Seq(42L)) == Set(42L))
   }
+  test("clusters label each seed's whole component with its smallest id") {
+    val li = new LinkIndex
+    li.addLinks(Seq((3L, 2L), (2L, 5L), (7L, 8L), (9L, 10L)))
+    assert(li.clusters(Seq(5L, 8L, 42L)) ==
+      Map(2L -> 2L, 3L -> 2L, 5L -> 2L, 7L -> 7L, 8L -> 7L, 42L -> 42L))
+  }
   test("linksAmong restricts both endpoints and canonicalises order") {
     val li = new LinkIndex
     li.addLinks(Seq((2L, 1L), (2L, 9L)))

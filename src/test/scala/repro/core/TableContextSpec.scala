@@ -1,12 +1,13 @@
 package repro.core
 
 import org.apache.spark.storage.StorageLevel
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
+import repro.data.MotivatingExample
 
 /** Once-off per-table state: TBI, block sizes, value frequencies, LI. */
 class TableContextSpec extends SparkSpec {
 
-  private def ctx = TableContext("pubsCtx", Fixtures.publications(spark))
+  private def ctx = TableContext("pubsCtx", MotivatingExample.publications(spark))
 
   test("requires an eid column") {
     import spark.implicits._

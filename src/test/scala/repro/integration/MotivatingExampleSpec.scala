@@ -1,7 +1,8 @@
 package repro.integration
 
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
 import repro.core._
+import repro.data.MotivatingExample
 import repro.planner._
 import repro.sql.QueryEr
 
@@ -12,8 +13,10 @@ class MotivatingExampleSpec extends SparkSpec {
 
   private val cfg = DedupConfig(useLinkIndex = false)
 
-  private def pCtx = TableContext("P", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
-  private def vCtx = TableContext("V", Fixtures.venues(spark), Some(Fixtures.venuesTruth(spark)))
+  private def pCtx = TableContext("P", MotivatingExample.publications(spark),
+    Some(MotivatingExample.publicationsTruth(spark)))
+  private def vCtx = TableContext("V", MotivatingExample.venues(spark),
+    Some(MotivatingExample.venuesTruth(spark)))
 
   private def spec = JoinSpec(
     SelectSpec("P", EqPred("venue", "EDBT")),
@@ -22,8 +25,8 @@ class MotivatingExampleSpec extends SparkSpec {
     Seq(("P", "title"), ("P", "year"), ("V", "rank")))
 
   test("plain SQL over the dirty tables misses the duplicates (the paper's problem)") {
-    QueryEr.register(spark, "pm", Fixtures.publications(spark))
-    QueryEr.register(spark, "vm", Fixtures.venues(spark))
+    QueryEr.register(spark, "pm", MotivatingExample.publications(spark))
+    QueryEr.register(spark, "vm", MotivatingExample.venues(spark))
     val plain = spark.sql(
       "SELECT pm.title, pm.year, vm.rank FROM pm JOIN vm ON pm.venue = vm.title WHERE pm.venue = 'EDBT'")
     // only P1, P6, P8 join V4 — and V4's rank is null

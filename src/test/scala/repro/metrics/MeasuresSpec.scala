@@ -1,13 +1,15 @@
 package repro.metrics
 
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
 import repro.core.TableContext
+import repro.data.MotivatingExample
 
 /** PC and timing measures (paper §9.1). */
 class MeasuresSpec extends SparkSpec {
 
   private def ctx =
-    TableContext("pubsM", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
+    TableContext("pubsM", MotivatingExample.publications(spark),
+      Some(MotivatingExample.publicationsTruth(spark)))
 
   private def pairsDf(pairs: (Long, Long)*) = {
     import spark.implicits._
@@ -47,7 +49,7 @@ class MeasuresSpec extends SparkSpec {
   }
 
   test("PC requires registered ground truth") {
-    val noTruth = TableContext("noTruth", Fixtures.publications(spark))
+    val noTruth = TableContext("noTruth", MotivatingExample.publications(spark))
     intercept[IllegalStateException](Measures.pairCompleteness(noTruth, Set(1L), pairsDf()))
   }
 }

@@ -1,10 +1,10 @@
 package repro.planner
 
 import org.apache.spark.sql.functions._
-import repro.{Fixtures, Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.benchrun.Experiments
-import repro.data.Datasets
+import repro.data.{Datasets, MotivatingExample}
 
 /** Query Executor (paper §7.2.2): SP and SPJ dedupe queries, the batch
   * baseline, and DuckDB-oracle checks of the relational semantics.
@@ -13,8 +13,10 @@ class ExecutorSpec extends SparkSpec {
 
   private val cfg = DedupConfig(useLinkIndex = false)
 
-  private def pCtx = TableContext("pExec", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
-  private def vCtx = TableContext("vExec", Fixtures.venues(spark), Some(Fixtures.venuesTruth(spark)))
+  private def pCtx = TableContext("pExec", MotivatingExample.publications(spark),
+    Some(MotivatingExample.publicationsTruth(spark)))
+  private def vCtx = TableContext("vExec", MotivatingExample.venues(spark),
+    Some(MotivatingExample.venuesTruth(spark)))
 
   // ---------------------------------------------------------------- SP
 

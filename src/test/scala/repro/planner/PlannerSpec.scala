@@ -1,8 +1,8 @@
 package repro.planner
 
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
 import repro.core._
-import repro.data.Datasets
+import repro.data.{Datasets, MotivatingExample}
 
 /** Cost-based operator placement (paper §7.2.1.ii, Table 5). */
 class PlannerSpec extends SparkSpec {
@@ -26,8 +26,8 @@ class PlannerSpec extends SparkSpec {
   }
 
   test("motivating example: cleaning V first wins (paper Table 5)") {
-    val p = TableContext("pPlan", Fixtures.publications(spark))
-    val v = TableContext("vPlan", Fixtures.venues(spark))
+    val p = TableContext("pPlan", MotivatingExample.publications(spark))
+    val v = TableContext("vPlan", MotivatingExample.venues(spark))
     val plan = Planner.planJoin(p, EqPred("venue", "EDBT"), v, TruePred)
     info(s"estimates: P=${plan.estLeftComparisons} V=${plan.estRightComparisons}")
     assert(plan.dedupFirst == RightSide || plan.estLeftComparisons <= plan.estRightComparisons)

@@ -1,14 +1,14 @@
 package repro.planner
 
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
 import repro.core._
-import repro.data.Datasets
+import repro.data.{Datasets, MotivatingExample}
 
 /** ER planner statistics (paper §7.2.1.i). */
 class StatisticsSpec extends SparkSpec {
 
-  private def pCtx = TableContext("pStat", Fixtures.publications(spark))
-  private def vCtx = TableContext("vStat", Fixtures.venues(spark))
+  private def pCtx = TableContext("pStat", MotivatingExample.publications(spark))
+  private def vCtx = TableContext("vStat", MotivatingExample.venues(spark))
 
   test("selectedSet from an equality literal uses the literal's blocking keys") {
     val s = Statistics.selectedSet(pCtx, EqPred("venue", "EDBT"))

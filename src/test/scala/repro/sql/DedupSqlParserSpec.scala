@@ -75,6 +75,32 @@ class DedupSqlParserSpec extends SparkSpec {
     assert(spec.left.pred == EqPred("year", "2008"))
     assert(spec.right.pred == EqPred("rank", "1"))
   }
+  test("aliases qualify columns in ON, WHERE and SELECT; specs name the tables") {
+    val ParsedJoin(spec) = parse(spark,
+      "SELECT DEDUP pub.title, ven.rank FROM p AS pub JOIN v ven ON ven.title = pub.venue " +
+        "WHERE ven.title = 'EDBT' AND pub.year = '2008'")
+    assert(spec.left.table == "p" && spec.right.table == "v")
+    assert(spec.leftAttr == "venue" && spec.rightAttr == "title")
+    assert(spec.left.pred == EqPred("year", "2008"))
+    assert(spec.right.pred == EqPred("title", "EDBT"))
+    assert(spec.projection == Seq(("p", "title"), ("v", "rank")))
+  }
+  test("rejects a WHERE term that names both tables") {
+    intercept[IllegalArgumentException](parse(spark,
+      "SELECT DEDUP * FROM p JOIN v ON p.venue = v.title WHERE p.year = '2008' OR v.title = 'EDBT'"))
+  }
+  test("rejects a qualifier that names no FROM relation") {
+    intercept[IllegalArgumentException](parse(spark,
+      "SELECT DEDUP * FROM p JOIN v ON p.venue = v.title WHERE x.year = '2008'"))
+    intercept[IllegalArgumentException](parse(spark, "SELECT DEDUP * FROM p WHERE x.year = '2008'"))
+  }
+  test("rejects a non-numeric literal in a numeric comparison") {
+    // a rejected query, not a NumberFormatException escaping the parser
+    for (where <- Seq("year >= 'abc'", "year BETWEEN 'abc' AND 2010")) {
+      val e = intercept[IllegalArgumentException](parse(spark, s"SELECT DEDUP * FROM p WHERE $where"))
+      assert(e.getClass == classOf[IllegalArgumentException], e)
+    }
+  }
 
   test("rejects non-dedup statements") {
     intercept[IllegalArgumentException](parse(spark, "SELECT * FROM t"))

@@ -1,14 +1,16 @@
 package repro.sql
 
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
 import repro.core.DedupConfig
+import repro.data.MotivatingExample
 
 /** The QueryER facade and the Catalyst parser extension. */
 class QueryErSpec extends SparkSpec {
 
   private def registerExample(): Unit = {
-    QueryEr.register(spark, "p", Fixtures.publications(spark), Some(Fixtures.publicationsTruth(spark)))
-    QueryEr.register(spark, "v", Fixtures.venues(spark), Some(Fixtures.venuesTruth(spark)))
+    QueryEr.register(spark, "p", MotivatingExample.publications(spark),
+      Some(MotivatingExample.publicationsTruth(spark)))
+    QueryEr.register(spark, "v", MotivatingExample.venues(spark), Some(MotivatingExample.venuesTruth(spark)))
   }
 
   test("registry lookups are case-insensitive and report unknown tables") {
@@ -36,6 +38,16 @@ class QueryErSpec extends SparkSpec {
     ))
   }
 
+  test("an aliased join returns the rows of the unaliased one") {
+    registerExample()
+    def rows(sql: String) =
+      QueryEr.sql(spark, sql, cfg = DedupConfig(useLinkIndex = false)).collect().map(_.toSeq).toSet
+    val plain = rows("SELECT DEDUP * FROM p JOIN v ON p.venue = v.title WHERE v.title = 'EDBT'")
+    assert(plain.size == 2)
+    assert(rows("SELECT DEDUP * FROM p AS pub JOIN v AS ven ON pub.venue = ven.title " +
+      "WHERE ven.title = 'EDBT'") == plain)
+  }
+
   test("non-DEDUP SQL keeps standard semantics through the extension parser") {
     registerExample()
     // the temp view registered alongside the context serves plain SQL
@@ -55,7 +67,7 @@ class QueryErSpec extends SparkSpec {
         .withExtensions(new QueryErExtensions)
         .getOrCreate()
       try {
-        QueryEr.register(extSession, "pext", Fixtures.publications(extSession))
+        QueryEr.register(extSession, "pext", MotivatingExample.publications(extSession))
         val out = extSession.sql("SELECT DEDUP * FROM pext WHERE venue = 'EDBT'")
         assert(out.count() == 2)
         // plain SQL still parses through the delegate
