@@ -104,7 +104,7 @@ object Experiments {
     val spec = JoinSpec(
       SelectSpec("P", EqPred("venue", "EDBT")), SelectSpec("V", TruePred), "venue", "title")
     def row(first: Side, label: String) = {
-      val (_, s) = Executor.runJoin(p, v, spec, AdvancedPlanner, cfgNoLi, forceFirst = Some(first))
+      val (_, s) = Executor.runJoin(p, v, spec, CleanFirst(first), cfgNoLi)
       val (pc, vc) = s.sideComparisons.get
       Seq("Clean First" -> label, "V" -> vc.toString, "P" -> pc.toString,
         "Total" -> s.comparisons.toString)

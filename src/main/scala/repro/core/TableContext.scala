@@ -82,11 +82,6 @@ final class TableContext(
       materialise(cur)
     })
 
-  /** Memoised planner statistics (duplication factor, join percentages). */
-  private[repro] var dupFactorMemo: Option[Double]                 = None
-  private[repro] val joinPercentMemo =
-    scala.collection.concurrent.TrieMap.empty[(String, String, String), (Double, Double)]
-
   /** Memoised full-table batch runs per configuration (the BA baseline). */
   private[repro] val batchMemo =
     scala.collection.concurrent.TrieMap.empty[DedupConfig, BatchResult]

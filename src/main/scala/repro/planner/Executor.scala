@@ -64,7 +64,8 @@ object Executor {
   /** Evaluate an SPJ dedupe query with the chosen solution (paper §7):
     * NES deduplicates both filtered branches then joins; AES deduplicates
     * the branch with the fewest estimated comparisons first and
-    * join-reduces the dirty branch through the Deduplicate-Join operator.
+    * join-reduces the dirty branch through the Deduplicate-Join operator;
+    * `CleanFirst` does the same for a fixed branch.
     */
   def runJoin(
       lCtx: TableContext,
@@ -72,15 +73,16 @@ object Executor {
       spec: JoinSpec,
       kind: PlannerKind = AdvancedPlanner,
       cfg: DedupConfig = DedupConfig(),
-      forceFirst: Option[Side] = None,
   ): (DataFrame, ExecStats) = {
     val ((result, lOut, rOut, plan), totalMs) = Measures.timed {
-      val plan =
-        if (forceFirst.isEmpty && kind == AdvancedPlanner)
-          Some(Planner.planJoin(lCtx, spec.left.pred, rCtx, spec.right.pred, cfg.mb))
-        else None
       // the branch deduplicated first; None = NES, both branches at once
-      val first = forceFirst.orElse(plan.map(_.dedupFirst))
+      val (plan, first) = kind match {
+        case NaivePlanner     => (None, None)
+        case AdvancedPlanner  =>
+          val p = Planner.planJoin(lCtx, spec.left.pred, rCtx, spec.right.pred, cfg.mb)
+          (Some(p), Some(p.dedupFirst))
+        case CleanFirst(side) => (None, Some(side))
+      }
       def clean(ctx: TableContext, side: SelectSpec): DedupOutcome =
         Deduplicate.run(ctx, ctx.rows.where(side.pred.toColumn).select(Tokenizer.EidCol), cfg)
       val (lOut, rOut) = first match {

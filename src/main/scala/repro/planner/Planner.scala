@@ -2,7 +2,7 @@ package repro.planner
 
 import repro.core.{MbConfig, TableContext}
 
-/** Which solution plans the query (paper §7). */
+/** Which solution plans the query (paper §7), i.e. the join order. */
 sealed trait PlannerKind
 /** Naïve ER Solution: Deduplicate above each Filter on both branches,
   * no cost model (paper §7.1, Fig. 6).
@@ -12,6 +12,11 @@ case object NaivePlanner extends PlannerKind
   * executed comparisons (paper §7.2).
   */
 case object AdvancedPlanner extends PlannerKind
+/** A fixed cleaning order with no cost model: deduplicate `side` first and
+  * join-reduce the other branch through Deduplicate-Join (the two orders
+  * paper Table 5 compares).
+  */
+final case class CleanFirst(side: Side) extends PlannerKind
 
 /** Side of a join tree. */
 sealed trait Side

@@ -19,7 +19,8 @@ import repro.planner._
   * name; an unqualified column belongs to the first relation, except in
   * the ON clause, where it takes the side its partner does not. WHERE is
   * routed conjunct by conjunct; a conjunct naming both relations, or an
-  * unknown qualifier, is rejected.
+  * unknown qualifier, is rejected, as are self-joins and SELECT-list
+  * aliases.
   */
 object DedupSqlParser extends PredicateHelper {
 
@@ -61,6 +62,9 @@ object DedupSqlParser extends PredicateHelper {
       case Join(l, r, Inner, Some(cond), _) => (Seq(relation(l), relation(r)), Some(cond))
       case rel                              => (Seq(relation(rel)), None)
     }
+    // the Link Index, and the answer's column prefix, are per table
+    require(rels.map(_.table.toLowerCase).distinct.size == rels.size,
+      s"self-joins are not supported: FROM names table '${rels.head.table}' twice")
 
     // The one rule: the index in `rels` of the relation a column's
     // qualifier names; None when the column is unqualified.
@@ -87,7 +91,6 @@ object DedupSqlParser extends PredicateHelper {
     val projection = projExprs.flatMap {
       case UnresolvedStar(_)                => Nil
       case a: UnresolvedAttribute           => Seq(column(a))
-      case Alias(a: UnresolvedAttribute, _) => Seq(column(a))
       case other =>
         throw new IllegalArgumentException(s"unsupported projection: $other")
     }

@@ -31,9 +31,23 @@ object QueryEr {
   ): (DataFrame, ExecStats) =
     DedupSqlParser.parse(spark, sqlText) match {
       case DedupSqlParser.ParsedSelect(spec) =>
-        Executor.runSelect(TableRegistry(spec.table), spec, cfg)
+        val ctx = TableRegistry(spec.table)
+        spec.projection.foreach(requireColumn(ctx, _, "cluster", "members"))
+        Executor.runSelect(ctx, spec, cfg)
       case DedupSqlParser.ParsedJoin(spec) =>
-        Executor.runJoin(TableRegistry(spec.left.table), TableRegistry(spec.right.table),
-          spec, kind, cfg)
+        val (l, r) = (TableRegistry(spec.left.table), TableRegistry(spec.right.table))
+        // each side's `cluster` is renamed in the joined answer
+        for ((t, a) <- spec.projection)
+          requireColumn(if (t.equalsIgnoreCase(spec.left.table)) l else r, a, "members")
+        Executor.runJoin(l, r, spec, kind, cfg)
     }
+
+  /** Reject a SELECT column the answer lacks before any ER runs (matched
+    * case-insensitively, as Spark resolves it).
+    */
+  private def requireColumn(ctx: TableContext, col: String, extra: String*): Unit = {
+    val cols = ctx.attrs ++ extra
+    require(cols.exists(_.equalsIgnoreCase(col)),
+      s"unknown column '$col' in SELECT: table ${ctx.name} has ${cols.mkString(", ")}")
+  }
 }

@@ -29,8 +29,8 @@ class PlannerSpec extends SparkSpec {
     val p = TableContext("pPlan", MotivatingExample.publications(spark))
     val v = TableContext("vPlan", MotivatingExample.venues(spark))
     val plan = Planner.planJoin(p, EqPred("venue", "EDBT"), v, TruePred)
-    info(s"estimates: P=${plan.estLeftComparisons} V=${plan.estRightComparisons}")
-    assert(plan.dedupFirst == RightSide || plan.estLeftComparisons <= plan.estRightComparisons)
+    assert(plan.estLeftComparisons == 26 && plan.estRightComparisons == 13)
+    assert(plan.dedupFirst == RightSide && plan.joinType == "DIRTY-LEFT")
   }
 
   test("ties break to the left branch") {

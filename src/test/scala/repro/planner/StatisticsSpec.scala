@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.core._
 import repro.data.{Datasets, MotivatingExample}
 
-/** ER planner statistics (paper §7.2.1.i). */
+/** The ER planner statistic, estimated comparisons (paper §7.2.1.i). */
 class StatisticsSpec extends SparkSpec {
 
   private def pCtx = TableContext("pStat", MotivatingExample.publications(spark))
@@ -71,7 +71,7 @@ class StatisticsSpec extends SparkSpec {
       Datasets.ppl(spark, 500).toContext -> RangePred("byear", 1900, 1940))
     for ((ctx, pred) <- targets; mb <- Seq(MbConfig.All, MbConfig.BpBf, MbConfig.BpEp)) {
       val s     = Statistics.selectedSet(ctx, pred)
-      val est     = Statistics.estimateComparisonsFor(ctx, s, mb)
+      val est   = Statistics.estimateComparisons(ctx, pred, mb)
       val pairs = MetaBlocking.candidatePairs(
         Deduplicate.blockJoin(ctx, Deduplicate.qbiKeys(ctx, s), s, mb)).count()
       val executed = Deduplicate.run(ctx, s, DedupConfig(mb = mb, useLinkIndex = false))
@@ -79,39 +79,5 @@ class StatisticsSpec extends SparkSpec {
       assert(s.nonEmpty && est >= pairs && pairs >= executed && executed > 0,
         s"${ctx.name} ${mb.label}: $est ≥ $pairs ≥ $executed")
     }
-  }
-
-  test("duplicationFactor is ≥ 1 and memoised") {
-    val ctx = Datasets.ppl(spark, 500).toContext
-    val df1 = Statistics.duplicationFactor(ctx)
-    val df2 = Statistics.duplicationFactor(ctx)
-    assert(df1 >= 1.0 && df1 == df2)
-  }
-  test("duplicationFactor reflects the people table's duplicate clusters") {
-    // 40% duplicate records with ≤3 dups/record ⇒ the expected cluster
-    // size of a random entity is ≈2.6, so |DR|/|QE| lands well above 1.
-    val ctx = Datasets.ppl(spark, 1000).toContext
-    val df  = Statistics.duplicationFactor(ctx)
-    info(f"ppl duplication factor: $df%.3f")
-    assert(df > 1.3 && df < 3.0)
-  }
-
-  test("joinPercent computes both sides' participation and is memoised") {
-    val ppl = Datasets.ppl(spark, 500).toContext
-    val oao = Datasets.oao(spark, 300).toContext
-    val (l, r) = Statistics.joinPercent(ppl, "org", oao, "orgname")
-    assert(l > 0.0 && l <= 1.0 && r > 0.0 && r <= 1.0)
-    assert(Statistics.joinPercent(ppl, "org", oao, "orgname") == ((l, r)))
-  }
-  test("joinPercent of unjoinable attributes is zero") {
-    val ppl = Datasets.ppl(spark, 500).toContext
-    val oao = Datasets.oao(spark, 300).toContext
-    assert(Statistics.joinPercent(ppl, "phone", oao, "country") == ((0.0, 0.0)))
-  }
-
-  test("estimateDrSize extrapolates with the duplication factor") {
-    val ctx = Datasets.ppl(spark, 500).toContext
-    val df  = Statistics.duplicationFactor(ctx)
-    assert(Statistics.estimateDrSize(ctx, 100) == 100 * df)
   }
 }

@@ -94,6 +94,18 @@ class DedupSqlParserSpec extends SparkSpec {
       "SELECT DEDUP * FROM p JOIN v ON p.venue = v.title WHERE x.year = '2008'"))
     intercept[IllegalArgumentException](parse(spark, "SELECT DEDUP * FROM p WHERE x.year = '2008'"))
   }
+  test("rejects a self-join") {
+    // the Link Index is per table: both sides would share one
+    intercept[IllegalArgumentException](parse(spark,
+      "SELECT DEDUP a.title, b.title FROM p a JOIN p b ON a.title = b.title WHERE a.venue = 'EDBT'"))
+    intercept[IllegalArgumentException](parse(spark, "SELECT DEDUP * FROM p JOIN P ON p.venue = P.title"))
+  }
+  test("rejects a SELECT-list alias rather than dropping its name") {
+    val e = intercept[IllegalArgumentException](parse(spark,
+      "SELECT DEDUP p.title AS t, v.rank FROM p JOIN v ON p.venue = v.title"))
+    assert(e.getMessage.contains("unsupported projection"), e)
+    intercept[IllegalArgumentException](parse(spark, "SELECT DEDUP title AS t FROM p"))
+  }
   test("rejects a non-numeric literal in a numeric comparison") {
     // a rejected query, not a NumberFormatException escaping the parser
     for (where <- Seq("year >= 'abc'", "year BETWEEN 'abc' AND 2010")) {

@@ -81,6 +81,21 @@ class QueryErSpec extends SparkSpec {
     }
   }
 
+  test("an unknown SELECT column is rejected before ER touches the Link Index") {
+    registerExample()
+    val li = TableRegistry("p").li
+    for (sql <- Seq(
+        "SELECT DEDUP nosuch FROM p WHERE venue = 'Sigmod'",
+        "SELECT DEDUP p.nosuch FROM p JOIN v ON p.venue = v.title WHERE p.venue = 'EDBT'",
+        "SELECT DEDUP p.cluster FROM p JOIN v ON p.venue = v.title WHERE p.venue = 'EDBT'")) {
+      intercept[IllegalArgumentException](QueryEr.sql(spark, sql))
+      assert(li.resolvedCount == 0 && li.linkCount == 0, sql)
+    }
+    // the answer's own columns resolve, in any case
+    assert(QueryEr.sql(spark, "SELECT DEDUP TITLE, cluster, Members FROM p WHERE venue = 'Sigmod'",
+      cfg = DedupConfig(useLinkIndex = false)).columns.length == 3)
+  }
+
   test("sqlWithStats exposes executed comparisons") {
     registerExample()
     val (_, stats) = QueryEr.sqlWithStats(spark, "SELECT DEDUP * FROM p WHERE venue = 'EDBT'",
