@@ -1,6 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, functions => F}
+import java.util.Locale
+
+import org.apache.spark.rdd.RDD
+
+import scala.collection.mutable
 
 /** Comparison-Execution (paper §6.1.iv): run the resolution function on
   * every candidate pair that survived meta-blocking and keep pairs whose
@@ -8,28 +12,36 @@ import org.apache.spark.sql.{DataFrame, Row, functions => F}
   */
 object ComparisonExecution {
 
-  /** Execute the comparisons in `pairs` against the entity rows of `ctx`
-    * in one Spark action: the number of executed comparisons (the paper's
-    * `Comp.` measure, one per pair) and the matched `(aid, bid)` links,
-    * aid < bid. Only the links reach the driver.
+  /** Execute the comparisons in `pairs` in one Spark action: each pair is
+    * joined with the profiles of both its entities, drawn from the rows of
+    * `entities`, and compared. Returns the number of executed comparisons
+    * (the paper's `Comp.` measure, one per pair) and the matched
+    * `(aid, bid)` links, aid < bid; only the links reach the driver.
     *
-    * @param pairs     `(aid, bid, ...)` candidate pairs (canonical order)
+    * @param entities  the entities `pairs` may name (the block collection's)
     * @param threshold profile-similarity match threshold θ
     */
-  def execute(ctx: TableContext, pairs: DataFrame, threshold: Double): (Long, Seq[(Long, Long)]) = {
-    val freq = ctx.valueFreq // captured in the UDF closure; values are lowercased
-    val simUdf = F.udf((a: Seq[String], b: Seq[String]) =>
-      Similarity.profileSimilarity(a, b,
-        v => if (v == null) 1L else freq.getOrElse(v.toLowerCase, 1L)))
-    val attrArr = F.array(ctx.attrs.map(a => F.col(a).cast("string")): _*)
-    val left  = ctx.rows.select(F.col(Tokenizer.EidCol).as("aid"), attrArr.as("aAttrs"))
-    val right = ctx.rows.select(F.col(Tokenizer.EidCol).as("bid"), attrArr.as("bAttrs"))
-    val matched = simUdf(F.col("aAttrs"), F.col("bAttrs")) >= threshold
-    val r = pairs.select("aid", "bid")
-      .join(left, "aid")
-      .join(right, "bid")
-      .agg(F.count("*"), F.collect_list(F.when(matched, F.struct("aid", "bid"))))
-      .collect()(0)
-    (r.getLong(0), r.getSeq[Row](1).map(l => (l.getLong(0), l.getLong(1))))
+  def execute(ctx: TableContext, pairs: RDD[Edge], entities: Set[Long], threshold: Double)
+      : (Long, Seq[(Long, Long)]) = {
+    // the resolution function's frequency weights, keyed by lowercased value
+    val freq     = ctx.spark.sparkContext.broadcast(ctx.valueFreq)
+    val profiles = TableContext.profiles(ctx.rowsOf(entities), ctx.attrs)
+    try {
+      val perPartition = pairs.map(e => (e.aid, e.bid)).join(profiles)
+        .map { case (a, (b, pa)) => (b, (a, pa)) }.join(profiles)
+        .mapPartitions { it =>
+          val f = freq.value
+          val lookup = (v: String) => if (v == null) 1L else f.getOrElse(v.toLowerCase(Locale.ROOT), 1L)
+          var n     = 0L
+          val links = mutable.ArrayBuffer.empty[(Long, Long)]
+          for ((b, ((a, pa), pb)) <- it) {
+            n += 1
+            if (Similarity.profileSimilarity(pa, pb, lookup) >= threshold) links += ((a, b))
+          }
+          Iterator((n, links.toSeq))
+        }
+        .collect()
+      (perPartition.map(_._1).sum, perPartition.flatMap(_._2).toSeq)
+    } finally freq.destroy()
   }
 }

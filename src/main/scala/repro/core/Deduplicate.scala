@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, functions => F}
-import org.apache.spark.storage.StorageLevel
+import org.apache.spark.sql.{DataFrame, functions => F}
 import repro.metrics.Measures
 
 /** Configuration of a Dedupe query execution. */
@@ -58,20 +57,17 @@ final case class DedupOutcome(
   def drIds: Set[Long] = clusterOf.keySet
 
   /** Entity rows of the DR set. */
-  def drRows: DataFrame = {
-    val spark = ctx.spark
-    import spark.implicits._
-    val ids = spark.createDataset(drIds.toSeq).toDF(Tokenizer.EidCol)
-    ctx.rows.join(ids, Tokenizer.EidCol)
-  }
+  def drRows: DataFrame = ctx.rowsOf(drIds)
 }
 
 /** The Deduplicate operator (paper §6.1): Query Blocking → Block-Join →
   * Meta-Blocking (BP, BF, EP) → Comparison-Execution, amending the Link
-  * Index with the resolved links. Every stage is a Catalyst composition
-  * over the table's TBI and launches at most one Spark action, which its
-  * stage time measures (paper Table 6): Block-Join one, Meta-Blocking one
-  * for Edge Pruning (none without it), Comparison-Execution one.
+  * Index with the resolved links. Query Blocking and Block-Join are a
+  * Catalyst composition over the table's TBI; meta-blocking and the
+  * comparisons run entity-based over the broadcast [[BlockIndex]]. Every
+  * stage launches at most one Spark action, which its stage time measures
+  * (paper Table 6): Block-Join one, Meta-Blocking one for Edge Pruning
+  * (none without it), Comparison-Execution one.
   */
 object Deduplicate {
   import Tokenizer.EidCol
@@ -93,37 +89,36 @@ object Deduplicate {
     val (comparisons, candidateBlocks, newLinks, times, pc) =
       if (unresolved.isEmpty) (0L, 0L, Nil, StageTimes(), None)
       else {
-        // (i)+(ii) Query Blocking and Block-Join — the enriched EQBI over
-        // the BP/BF-refined TBI; the QBI keys stay lazy and are evaluated
-        // by this stage's one action, which counts the candidate blocks.
-        val ((eqbi, blocks), tJoin) = Measures.timed {
-          val e = blockJoin(ctx, qbiKeys(ctx, unresolved), unresolved, cfg.mb).cache()
-          (e, e.select("token").distinct().count())
-        }
+        // (i)+(ii) Query Blocking and Block-Join: the EQBI over the
+        // BP/BF-refined TBI, collected by this stage's one action into the
+        // block index that meta-blocking broadcasts.
+        val sc = ctx.spark.sparkContext
+        val (index, tJoin) =
+          Measures.timed(BlockIndex(blockJoin(ctx, qbiKeys(ctx, unresolved), unresolved, cfg.mb)))
+        val broadcastIndex = sc.broadcast(index)
+        try {
+          // (iii) Meta-Blocking — comparison refinement: the candidate pairs
+          // of the EQBI (block refinement already folded into the index),
+          // Edge Pruning per configuration; its mean weight is this stage's
+          // one action. The pairs are recomputed from the broadcast index
+          // wherever they are read, so under BP+BF (no action here) their
+          // work is timed by (iv).
+          val (pairs, tMeta) = Measures.timed {
+            val raw = MetaBlocking.candidatePairs(sc, broadcastIndex)
+            if (cfg.mb.edgePruning) MetaBlocking.edgePruning(raw) else raw
+          }
 
-        // (iii) Meta-Blocking — comparison refinement: the candidate pairs
-        // of the EQBI (block refinement already folded into the index),
-        // Edge Pruning per configuration. The raw pairs are persisted only
-        // when read twice, by EP's mean weight (this stage's one action) or
-        // by PC; under BP+BF the pair work is timed by (iv).
-        val readTwice = cfg.mb.edgePruning || cfg.computePc
-        val ((raw, pairs), tMeta) = Measures.timed {
-          val c = MetaBlocking.candidatePairs(eqbi)
-          val r = if (readTwice) c.persist(StorageLevel.MEMORY_AND_DISK) else c
-          (r, if (cfg.mb.edgePruning) MetaBlocking.edgePruning(r) else r)
-        }
+          // (iv) Comparison-Execution — resolution function on each pair.
+          val ((n, links), tCmp) = Measures.timed(
+            ComparisonExecution.execute(ctx, pairs, index.entities, cfg.simThreshold))
 
-        // (iv) Comparison-Execution — resolution function on each pair.
-        val ((n, links), tCmp) =
-          Measures.timed(ComparisonExecution.execute(ctx, pairs, cfg.simThreshold))
+          // PC runs after the timed stages.
+          val pc = Option.when(cfg.computePc && ctx.truth.isDefined)(
+            Measures.pairCompleteness(ctx, unresolved, ctx.spark.createDataFrame(pairs)))
 
-        // PC runs after the timed stages and reads the persisted pairs.
-        val pc = Option.when(cfg.computePc && ctx.truth.isDefined)(
-          Measures.pairCompleteness(ctx, unresolved, pairs))
-
-        raw.unpersist(); eqbi.unpersist()
-        (n, blocks, links,
-          StageTimes(blockJoinMs = tJoin, metaBlockingMs = tMeta, comparisonMs = tCmp), pc)
+          (n, index.blocks, links,
+            StageTimes(blockJoinMs = tJoin, metaBlockingMs = tMeta, comparisonMs = tCmp), pc)
+        } finally broadcastIndex.destroy()
       }
 
     // Amend the LI (a scratch one when it is off) and assemble
@@ -136,22 +131,19 @@ object Deduplicate {
       DedupStats(qeIds.size, unresolved.size, clusterOf.size, comparisons, candidateBlocks, times, pc))
   }
 
-  /** Query Blocking: the distinct blocking keys (QBI) of the `ids`
-    * entities. QE ⊆ E and blocking is deterministic, so the keys are read
-    * from the TBI rather than re-tokenised.
+  /** Query Blocking: the blocking keys (QBI) of the `ids` entities, one
+    * row per entity and key. QE ⊆ E and blocking is deterministic, so the
+    * keys are read from the TBI rather than re-tokenised.
     */
   def qbiKeys(ctx: TableContext, ids: Set[Long]): DataFrame =
-    ctx.tbi.where(isQuery(ids)).select("token").distinct()
+    ctx.tbi.where(TableContext.isIn(ids)).select("token")
 
-  /** Block-Join: hash-join of the QBI `keys` with the BP/BF-refined TBI
-    * (see [[TableContext.retainedTbi]]), giving the enriched query block
-    * index EQBI as `(token, eid, isQuery)`, where `isQuery` marks the
-    * `ids` entities. The Deduplicate operator and the planner's
-    * comparison estimate both read this one query graph.
+  /** Block-Join: semi-join of the BP/BF-refined TBI (see
+    * [[TableContext.retainedTbi]]) with the QBI `keys`, giving the
+    * enriched query block index EQBI as `(token, eid, isQuery)`, where
+    * `isQuery` marks the `ids` entities. The Deduplicate operator and the
+    * planner's comparison estimate both read this one query graph.
     */
   def blockJoin(ctx: TableContext, keys: DataFrame, ids: Set[Long], mb: MbConfig): DataFrame =
-    ctx.retainedTbi(mb).join(keys, "token").withColumn("isQuery", isQuery(ids))
-
-  private def isQuery(ids: Set[Long]): Column =
-    F.udf((id: Long) => ids.contains(id)).apply(F.col(EidCol))
+    ctx.retainedTbi(mb).join(keys, Seq("token"), "left_semi").withColumn("isQuery", TableContext.isIn(ids))
 }

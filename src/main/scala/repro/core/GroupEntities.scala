@@ -1,6 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
+import org.apache.spark.unsafe.types.UTF8String
+
+import scala.jdk.CollectionConverters._
 
 /** Group-Entities operator (paper §6.3): fold every set of duplicates into
   * one "hyper-entity" record per cluster, concatenating the distinct
@@ -8,29 +12,33 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   * exactly as the paper's Table 3 presentation.
   */
 object GroupEntities {
-  import Tokenizer.EidCol
 
-  /** Grouped representation of `rows`, one output row per cluster.
+  /** Spark's string order (UTF-8 bytes), which `array_sort` applies. */
+  private val SparkStringOrder: Ordering[String] = Ordering.by(UTF8String.fromString)
+
+  /** Grouped representation of `rows`, one output row per cluster, ordered
+    * by cluster. The rows are collected and folded on the driver, where the
+    * answer is collected anyway; the result is a driver-local DataFrame.
     *
     * Output columns: `cluster` (smallest member id), `members`
     * (comma-joined sorted member ids — used by equivalence tests), and one
-    * concatenated column per attribute.
+    * concatenated column per attribute: its distinct values that are not
+    * blank (only spaces, as Spark's `trim` strips), sorted.
     */
   def group(rows: DataFrame, clusterOf: Map[Long, Long], attrs: Seq[String]): DataFrame = {
-    val cUdf = F.udf((id: Long) => clusterOf.getOrElse(id, id))
-    val attrAggs = attrs.map { a =>
-      F.array_join(
-        F.array_sort(F.collect_set(
-          F.when(F.length(F.trim(F.col(a).cast("string"))) > 0, F.col(a).cast("string")))),
-        " | ").as(a)
-    }
-    val membersAgg = F.array_join(
-      F.expr(s"transform(array_sort(collect_set($EidCol)), x -> cast(x as string))"),
-      ",").as("members")
-    val aggs = membersAgg +: attrAggs
-    rows
-      .withColumn("cluster", cUdf(F.col(EidCol)))
-      .groupBy("cluster")
-      .agg(aggs.head, aggs.tail: _*)
+    val grouped = TableContext.profiles(rows, attrs).collect()
+      .groupBy { case (id, _) => clusterOf.getOrElse(id, id) }
+      .toSeq.sortBy(_._1)
+      .map { case (cluster, ms) =>
+        val members = ms.map(_._1).distinct.sorted.mkString(",")
+        val values = attrs.indices.map { i =>
+          ms.flatMap(m => Option(m._2(i)).filter(_.exists(_ != ' ')))
+            .distinct.sorted(SparkStringOrder).mkString(" | ")
+        }
+        Row.fromSeq(cluster +: members +: values)
+      }
+    val schema = StructType(StructField("cluster", LongType, nullable = false) +:
+      ("members" +: attrs).map(StructField(_, StringType, nullable = false)))
+    rows.sparkSession.createDataFrame(grouped.asJava, schema)
   }
 }

@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, functions => F}
 import org.apache.spark.sql.expressions.Window
 
@@ -36,9 +39,10 @@ object MbConfig {
   val None: MbConfig = MbConfig(purge = false, filter = false, edgePruning = false)
 }
 
-/** Block-refinement (Block Purging, Block Filtering) and
-  * comparison-refinement (Edge Pruning) methods over a block collection
-  * held as an `(token, eid, isQuery)` DataFrame (paper §4, §6.1, [27]).
+/** Block-refinement (Block Purging, Block Filtering) methods over a block
+  * collection held as an `(token, eid, isQuery)` DataFrame, and the
+  * comparison refinement (candidate pairs, Edge Pruning) over its
+  * [[BlockIndex]] (paper §4, §6.1, [27]).
   */
 object MetaBlocking {
 
@@ -122,44 +126,52 @@ object MetaBlocking {
       .drop("bsize", "rk", "nb")
   }
 
-  /** Candidate comparisons of a block collection: one row per unordered
+  /** Candidate comparisons of a block collection: one edge per unordered
     * entity pair co-occurring in ≥1 block and touching the query side
-    * (paper §6.1.iv restricts Comparison-Execution to QE × block); the
-    * aggregation also deduplicates multi-block pairs so no comparison is
-    * executed twice. The edge weight is the ARCS scheme [25] — the sum of
-    * reciprocal block cardinalities over the pair's common blocks — so
-    * co-occurrence in a rare (discriminative) block outweighs
-    * co-occurrence in an oversized one.
+    * (paper §6.1.iv restricts Comparison-Execution to QE × block), each
+    * emitted once so no comparison is executed twice. The edge weight is
+    * the ARCS scheme [25] — the sum of reciprocal block cardinalities over
+    * the pair's common blocks — so co-occurrence in a rare (discriminative)
+    * block outweighs co-occurrence in an oversized one. Entity-based, as in
+    * parallel meta-blocking: each query entity computes its own edges from
+    * the broadcast index (see [[BlockIndex.edgesOf]]), so the pairs need
+    * neither a self-join nor a shuffle.
+    */
+  def candidatePairs(sc: SparkContext, index: Broadcast[BlockIndex]): RDD[Edge] =
+    sc.parallelize(index.value.owners.toSeq, sc.defaultParallelism).flatMap(e => index.value.edgesOf(e))
+
+  /** [[candidatePairs]] of a `(token, eid, isQuery)` block collection, as
+    * `(aid, bid, weight)` rows; Spark's context cleaner releases the
+    * broadcast index once the rows are unreachable.
     */
   def candidatePairs(entries: DataFrame): DataFrame = {
-    val sizes = blockSizes(entries)
-    // blocks reduced to one entity (e.g. by Block Filtering) carry no pairs
-    val withCard = entries.join(sizes.where(F.col("bsize") >= 2), "token")
-      .withColumn("invCard", F.lit(2.0) / (F.col("bsize") * (F.col("bsize") - 1)))
-    val a = withCard.select(
-      F.col("token"), F.col("eid").as("aid"), F.col("isQuery").as("aq"), F.col("invCard"))
-    val b = withCard.select(
-      F.col("token"), F.col("eid").as("bid"), F.col("isQuery").as("bq"))
-    a.join(b, "token")
-      .where(F.col("aid") < F.col("bid") && (F.col("aq") || F.col("bq")))
-      .groupBy("aid", "bid")
-      .agg(F.sum("invCard").as("weight"), F.max("aq").as("aq"), F.max("bq").as("bq"))
+    val spark = entries.sparkSession
+    val sc    = spark.sparkContext
+    spark.createDataFrame(candidatePairs(sc, sc.broadcast(BlockIndex(entries))))
   }
 
   /** Weighted Edge Pruning: drop blocking-graph edges whose ARCS weight
-    * is below the collection's mean edge weight [25, 27]. The threshold
-    * is capped at 1.0: an edge of ARCS ≥ 1 co-occurs in a dedicated
-    * two-entity block (or several near-dedicated ones) — intrinsically
-    * strong evidence that must not depend on how heavy the rest of the
-    * graph happens to be, which also keeps the pruning decision stable
-    * between a query's EQBI sub-graph and the full-table graph (DQ
-    * Correctness, paper §6.1).
+    * is below the collection's mean edge weight [25, 27]; the mean is one
+    * Spark action. The threshold is capped at 1.0: an edge of ARCS ≥ 1
+    * co-occurs in a dedicated two-entity block (or several near-dedicated
+    * ones) — intrinsically strong evidence that must not depend on how
+    * heavy the rest of the graph happens to be, which also keeps the
+    * pruning decision stable between a query's EQBI sub-graph and the
+    * full-table graph (DQ Correctness, paper §6.1).
     */
-  def edgePruning(pairs: DataFrame): DataFrame = {
-    val mean = pairs.agg(F.avg("weight")).collect()(0) match {
-      case r if r.isNullAt(0) => return pairs
-      case r                  => r.getDouble(0)
+  def edgePruning(edges: RDD[Edge]): RDD[Edge] = {
+    val (sum, n) = edges.aggregate((0.0, 0L))(
+      (acc, e) => (acc._1 + e.weight, acc._2 + 1), (x, y) => (x._1 + y._1, x._2 + y._2))
+    if (n == 0) edges
+    else {
+      val threshold = math.min(sum / n, 1.0)
+      edges.filter(_.weight >= threshold)
     }
-    pairs.where(F.col("weight") >= math.min(mean, 1.0))
   }
+
+  /** [[edgePruning]] of `(aid, bid, weight, …)` rows, as `(aid, bid, weight)` rows. */
+  def edgePruning(pairs: DataFrame): DataFrame =
+    pairs.sparkSession.createDataFrame(edgePruning(
+      pairs.select(F.col("aid"), F.col("bid"), F.col("weight").cast("double")).rdd
+        .map(r => Edge(r.getLong(0), r.getLong(1), r.getDouble(2)))))
 }

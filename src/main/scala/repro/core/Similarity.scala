@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Locale
+
 /** String similarity functions used by Comparison-Execution (paper §6.1.iv).
   *
   * The paper fixes Jaro-Winkler as the resolution function for all
@@ -76,8 +78,11 @@ object Similarity {
     else if (y.length == 1 && x.length > 1 && x.charAt(0) == y.charAt(0)) 0.92
     else jaroWinkler(x, y)
 
-  private def meTokens(s: String): Array[String] =
-    s.toLowerCase.split("[^\\p{L}\\p{N}]+").filter(_.nonEmpty)
+  /** Tokens of an already lowercased value. */
+  private def tokens(lower: String): Array[String] =
+    Tokenizer.Separators.split(lower).filter(_.nonEmpty)
+
+  private def meTokens(s: String): Array[String] = tokens(s.toLowerCase(Locale.ROOT))
 
   /** Symmetric Monge-Elkan with abbreviation-aware token similarity:
     * every token of one side is aligned with its best match on the other
@@ -87,8 +92,9 @@ object Similarity {
     * containing "Entity Resolution". Robust to token reordering
     * ("Davidson Lisa" vs "Lisa Davidson") and abbreviation.
     */
-  def mongeElkanAbbrev(a: String, b: String): Double = {
-    val ta = meTokens(a); val tb = meTokens(b)
+  def mongeElkanAbbrev(a: String, b: String): Double = mongeElkan(meTokens(a), meTokens(b))
+
+  private def mongeElkan(ta: Array[String], tb: Array[String]): Double = {
     if (ta.isEmpty || tb.isEmpty) return 0.0
     def dir(xs: Array[String], ys: Array[String]): Double = {
       var sum  = 0.0
@@ -108,22 +114,25 @@ object Similarity {
     * value ("dus" vs "dorlex university of springfield") — a common
     * surface-form pattern in organisation/venue names.
     */
-  def acronymSim(a: String, b: String): Double = {
+  def acronymSim(a: String, b: String): Double = acronym(meTokens(a), meTokens(b))
+
+  private def acronym(ta: Array[String], tb: Array[String]): Double = {
     def oneWay(short: Array[String], long: Array[String]): Double =
       if (short.length == 1 && long.length >= 3) {
         val acr = long.filterNot(Tokenizer.Stopwords.contains).map(_.charAt(0)).mkString
         if (acr.length >= 3 && jaroWinkler(short(0), acr) >= 0.9) 0.93 else 0.0
       } else 0.0
-    val ta = meTokens(a); val tb = meTokens(b)
     math.max(oneWay(ta, tb), oneWay(tb, ta))
   }
 
   /** Per-attribute similarity: the best of character-level Jaro-Winkler,
-    * token-level abbreviation-aware Monge-Elkan, and acronym matching.
+    * token-level abbreviation-aware Monge-Elkan, and acronym matching; each
+    * value is lowercased and tokenised once for both token-level measures.
     */
   def attrSim(a: String, b: String): Double = {
-    val x = a.toLowerCase; val y = b.toLowerCase
-    math.max(math.max(jaroWinkler(x, y), mongeElkanAbbrev(x, y)), acronymSim(x, y))
+    val x = a.toLowerCase(Locale.ROOT); val y = b.toLowerCase(Locale.ROOT)
+    val tx = tokens(x); val ty = tokens(y)
+    math.max(math.max(jaroWinkler(x, y), mongeElkan(tx, ty)), acronym(tx, ty))
   }
 
   /** Schema-agnostic profile similarity (paper §6.1.iv): the values of all
@@ -173,13 +182,13 @@ object Similarity {
     while (i < a.length) {
       val x = a(i)
       if (x != null && x.length >= 12) {
-        val xl = x.toLowerCase
+        val xl = x.toLowerCase(Locale.ROOT)
         var j = 0
         while (j < b.length) {
           if (j != i) {
             val y = b(j)
             if (y != null && y.length >= 12) {
-              val yl = y.toLowerCase
+              val yl = y.toLowerCase(Locale.ROOT)
               // cheap prefix gate before the quadratic JW
               if (xl.substring(0, 4) == yl.substring(0, 4) && jaroWinkler(xl, yl) >= 0.95)
                 return 0.95

@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession, functions => F}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{Column, DataFrame, SparkSession, functions => F}
 import org.apache.spark.storage.StorageLevel
 
 /** Per-table state mirroring the paper's once-off initialisation (§3):
@@ -33,6 +34,9 @@ final class TableContext(
 
   /** Entity rows, cached — queries repeatedly scan them. */
   lazy val rows: DataFrame = materialise(df)
+
+  /** The entity rows of `ids`: a filter on the cached rows. */
+  def rowsOf(ids: Set[Long]): DataFrame = rows.where(TableContext.isIn(ids))
 
   /** TBI_E as `(eid, token)` entity/block incidence pairs. */
   lazy val tbi: DataFrame = materialise(Tokenizer.tokenize(rows))
@@ -98,6 +102,18 @@ final class TableContext(
 }
 
 object TableContext {
+  import Tokenizer.EidCol
+
   def apply(name: String, df: DataFrame, truth: Option[DataFrame] = None): TableContext =
     new TableContext(name, df, truth)
+
+  /** Whether the entity id is one of `ids`. */
+  def isIn(ids: Set[Long]): Column = F.udf((id: Long) => ids.contains(id)).apply(F.col(EidCol))
+
+  /** `(eid, attribute values cast to string)` of each entity row: what the
+    * resolution function compares and Group-Entities folds.
+    */
+  def profiles(rows: DataFrame, attrs: Seq[String]): RDD[(Long, Array[String])] =
+    rows.select(F.col(EidCol).cast("long") +: attrs.map(a => F.col(a).cast("string")): _*).rdd
+      .map(r => (r.getLong(0), Array.tabulate(attrs.length)(i => r.getString(i + 1))))
 }

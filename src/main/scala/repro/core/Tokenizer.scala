@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.Locale
+import java.util.regex.Pattern
+
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
@@ -18,11 +21,19 @@ object Tokenizer {
   val Stopwords: Set[String] =
     Set("the", "and", "for", "with", "from", "that", "this", "are", "was", "its", "of", "on", "in")
 
-  /** Tokens of a single value; distinct, order-stable. */
+  /** Runs of characters that are neither letters nor digits: what splits
+    * a value into tokens (compiled once; `String.split` compiles per call).
+    */
+  private[core] val Separators: Pattern = Pattern.compile("[^\\p{L}\\p{N}]+")
+
+  /** Tokens of a single value; distinct, order-stable. Lowercased in the
+    * root locale, so blocking keys do not depend on the JVM's default one
+    * (under a Turkish locale "ICDE" would lowercase to "ıcde").
+    */
   def tokensOf(value: String): Seq[String] = {
     if (value == null) return Nil
     val out = scala.collection.mutable.LinkedHashSet.empty[String]
-    for (t <- value.toLowerCase.split("[^\\p{L}\\p{N}]+"))
+    for (t <- Separators.split(value.toLowerCase(Locale.ROOT)))
       if (t.length >= 2 && !Stopwords.contains(t)) out += t
     out.toSeq
   }

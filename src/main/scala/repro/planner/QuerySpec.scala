@@ -14,6 +14,16 @@ sealed trait Pred {
   def toColumn: Column
 }
 
+object Pred {
+  /** A numeric constant of a predicate, passed to Spark's generated code
+    * as a value. A `lit` of a number is inlined into the generated source,
+    * so statements that differ only in such a constant would each compile
+    * and cache their own classes (strings are passed as values already).
+    */
+  private[planner] def param(v: Double): Column = F.udf(() => v).apply()
+  private[planner] def param(v: Long): Column   = F.udf(() => v).apply()
+}
+
 case object TruePred extends Pred {
   def toColumn: Column = F.lit(true)
 }
@@ -36,10 +46,10 @@ final case class CmpPred(attr: String, op: String, value: Double) extends Pred {
   def toColumn: Column = {
     val c = F.expr(s"try_cast(`$attr` AS DOUBLE)")
     op match {
-      case "<"  => c < value
-      case "<=" => c <= value
-      case ">"  => c > value
-      case ">=" => c >= value
+      case "<"  => c < Pred.param(value)
+      case "<=" => c <= Pred.param(value)
+      case ">"  => c > Pred.param(value)
+      case ">=" => c >= Pred.param(value)
       case _    => throw new IllegalArgumentException(s"unsupported op $op")
     }
   }
@@ -47,12 +57,13 @@ final case class CmpPred(attr: String, op: String, value: Double) extends Pred {
 
 /** Inclusive numeric range `lo <= attr <= hi` (try_cast: see CmpPred). */
 final case class RangePred(attr: String, lo: Double, hi: Double) extends Pred {
-  def toColumn: Column = F.expr(s"try_cast(`$attr` AS DOUBLE)").between(lo, hi)
+  def toColumn: Column =
+    F.expr(s"try_cast(`$attr` AS DOUBLE)").between(Pred.param(lo), Pred.param(hi))
 }
 
 /** `MOD(eid, m) < k` — the paper's Q9 random-selection query. */
 final case class ModLtPred(m: Long, k: Long) extends Pred {
-  def toColumn: Column = F.pmod(F.col(Tokenizer.EidCol), F.lit(m)) < k
+  def toColumn: Column = F.pmod(F.col(Tokenizer.EidCol), Pred.param(m)) < Pred.param(k)
 }
 
 final case class AndPred(l: Pred, r: Pred) extends Pred {

@@ -22,6 +22,12 @@ class TokenizerSpec extends SparkSpec {
     assert(tokensOf("data data data") == Seq("data"))
   }
   test("tokensOf keeps digits") { assert(tokensOf("EDBT 2008") == Seq("edbt", "2008")) }
+  test("tokensOf lowercases the same under any default locale") {
+    val default = java.util.Locale.getDefault
+    java.util.Locale.setDefault(new java.util.Locale("tr"))
+    try assert(tokensOf("ICDE Conference") == Seq("icde", "conference"))
+    finally java.util.Locale.setDefault(default)
+  }
   test("tokensOf is deterministic") {
     val s = "Collective Entity Resolution"
     assert(tokensOf(s) == tokensOf(s))

@@ -1,10 +1,11 @@
 package repro.planner
 
+import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.benchrun.Experiments
-import repro.data.{Datasets, MotivatingExample}
+import repro.data.{Datasets, MotivatingExample, Workload}
 
 /** Query Executor (paper §7.2.2): SP and SPJ dedupe queries, the batch
   * baseline, and DuckDB-oracle checks of the relational semantics.
@@ -24,6 +25,22 @@ class ExecutorSpec extends SparkSpec {
     val (out, stats) = Executor.runSelect(pCtx, SelectSpec("p", EqPred("venue", "EDBT")), cfg)
     assert(out.count() == 2)
     assert(stats.qeSize == 3 && stats.drSize == 5)
+  }
+
+  test("a repeated SP statement compiles no new classes: its generated code fits Spark's codegen cache") {
+    // CodegenMetrics counts the compilations, i.e. the cache misses, of
+    // every generated class; Spark keeps 100 classes in 4 LRU segments
+    val ctx  = Datasets.dsd(spark).toContext
+    val spec = SelectSpec("dsd", Workload.sp("dsd", 1))
+    def compiledByOneRun(): Long = {
+      val before = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+      Executor.runSelect(ctx, spec, cfg)._1.collect()
+      CodegenMetrics.METRIC_COMPILATION_TIME.getCount - before
+    }
+    try {
+      val counts = Seq.fill(4)(compiledByOneRun())
+      assert(counts.last <= 5, s"classes compiled per run: ${counts.mkString(", ")}")
+    } finally ctx.unpersistAll()
   }
 
   test("runSelect respects the projection") {
