@@ -79,11 +79,12 @@ object Experiments {
   private val cfgNoLi = DedupConfig(useLinkIndex = false)
 
   /** Force the once-off per-table initialisation (cached rows, TBI,
-    * refined TBI, value frequencies) outside the measured query time —
+    * refined TBI and its driver-side block index, value frequencies)
+    * outside the measured query time —
     * the paper likewise builds its indices at data-loading time (§3).
     */
   def warm(ctx: TableContext, mb: MbConfig = MbConfig.All): TableContext = {
-    ctx.rows; ctx.tbi; ctx.blockSizes; ctx.retainedTbi(mb); ctx.valueFreq; ctx.size
+    ctx.rows; ctx.tbi; ctx.blockSizes; ctx.retainedTbi(mb); ctx.blockIndex(mb); ctx.valueFreq; ctx.size
     // one small untimed dedup triggers codegen/JIT of the whole pipeline
     val ids = ctx.rows.select(Tokenizer.EidCol).limit(32)
       .collect().map(_.getLong(0)).toSet
@@ -333,7 +334,7 @@ object Experiments {
         ("Q8b", "oagp", (n: Long) => Datasets.oagp(spark, n), oagv, "venue", "title"))
       (label, n) <- sizes
     } yield {
-      val big  = Datasets.context(mk(n))
+      val big  = warm(Datasets.context(mk(n)))
       val spec = JoinSpec(
         SelectSpec(big.name, Workload.rangeFor(family, 0.15)),
         SelectSpec(dim.name, TruePred), la, ra)

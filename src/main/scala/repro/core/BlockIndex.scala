@@ -14,6 +14,10 @@ final case class Edge(aid: Long, bid: Long, weight: Double)
   * meta-blocking of Efthymiou et al. (Inf. Syst. 2017) broadcasts it: the
   * members of every block, and the blocks of every query entity.
   *
+  * A table's refined TBI is one such index with every entity a query
+  * entity ([[TableContext.blockIndex]]); a statement's EQBI is that index
+  * restricted to its query entities ([[restrict]]).
+  *
   * @param members  the entity ids of each block, one entry per block row
   * @param blocksOf the blocks of each query entity, by index into `members`
   */
@@ -44,6 +48,34 @@ final class BlockIndex private (
         weight(x) = weight.getOrElse(x, 0.0) + w
     }
     weight.iterator.map { case (x, w) => if (e < x) Edge(e, x, w) else Edge(x, e, w) }
+  }
+
+  /** Block-Join (paper §6.1.ii) on the driver: the blocks that hold any
+    * of `ids`, with `ids` as the query entities — the EQBI of a query
+    * whose QBI keys are `ids`' blocking keys. A block none of `ids` was
+    * retained in carries no query-touching pair, so it is left out. The
+    * block member arrays are shared, not copied.
+    */
+  def restrict(ids: Iterable[Long]): BlockIndex = {
+    val renumber = Array.fill(members.length)(-1)
+    val kept     = mutable.ArrayBuffer.empty[Array[Long]]
+    val own      = mutable.LongMap.empty[Array[Int]]
+    for (e <- ids; bs <- blocksOf.get(e)) own(e) = bs.map { b =>
+      if (renumber(b) < 0) { renumber(b) = kept.size; kept += members(b) }
+      renumber(b)
+    }
+    new BlockIndex(kept.toArray, own)
+  }
+
+  /** The planner's comparison estimate (paper §7.2.1.i) of this block
+    * collection: Σ_b q_b·(|b| − (q_b+1)/2), with q_b the query entities
+    * of block b — every pair of b that touches the query, counted per
+    * block, before Edge Pruning.
+    */
+  def estimatedComparisons: Long = {
+    val q = new Array[Long](members.length)
+    blocksOf.valuesIterator.foreach(_.foreach(b => q(b) += 1))
+    q.indices.iterator.map(b => q(b) * members(b).length - q(b) * (q(b) + 1) / 2).sum
   }
 }
 

@@ -13,8 +13,9 @@ final case class DedupConfig(
 
 /** Wall-clock per Deduplicate-operator stage (paper Table 6 breakdown).
   *
-  * @param blockingMs Query Blocking; it runs inside the Block-Join action,
-  *                   which `blockJoinMs` times, so the operator leaves it 0
+  * @param blockingMs Query Blocking; it runs inside Block-Join's index
+  *                   lookup, which `blockJoinMs` times, so the operator
+  *                   leaves it 0
   */
 final case class StageTimes(
     blockingMs: Long = 0,
@@ -58,16 +59,23 @@ final case class DedupOutcome(
 
   /** Entity rows of the DR set. */
   def drRows: DataFrame = ctx.rowsOf(drIds)
+
+  /** The DR set's profiles (`TableContext.profiles`), collected once:
+    * Deduplicate-Join reads them to reduce the dirty side and to join.
+    */
+  lazy val drProfiles: Array[(Long, Array[String])] =
+    TableContext.profiles(drRows, ctx.attrs).collect()
 }
 
 /** The Deduplicate operator (paper §6.1): Query Blocking → Block-Join →
   * Meta-Blocking (BP, BF, EP) → Comparison-Execution, amending the Link
-  * Index with the resolved links. Query Blocking and Block-Join are a
-  * Catalyst composition over the table's TBI; meta-blocking and the
-  * comparisons run entity-based over the broadcast [[BlockIndex]]. Every
-  * stage launches at most one Spark action, which its stage time measures
-  * (paper Table 6): Block-Join one, Meta-Blocking one for Edge Pruning
-  * (none without it), Comparison-Execution one.
+  * Index with the resolved links. Query Blocking and Block-Join are
+  * lookups in the table's driver-side refined TBI
+  * ([[TableContext.blockIndex]]); meta-blocking and the comparisons run
+  * entity-based over the broadcast [[BlockIndex]]. Every stage launches at
+  * most one Spark action, which its stage time measures (paper Table 6):
+  * Block-Join none, Meta-Blocking one for Edge Pruning (none without it),
+  * Comparison-Execution one.
   */
 object Deduplicate {
   import Tokenizer.EidCol
@@ -89,12 +97,11 @@ object Deduplicate {
     val (comparisons, candidateBlocks, newLinks, times, pc) =
       if (unresolved.isEmpty) (0L, 0L, Nil, StageTimes(), None)
       else {
-        // (i)+(ii) Query Blocking and Block-Join: the EQBI over the
-        // BP/BF-refined TBI, collected by this stage's one action into the
-        // block index that meta-blocking broadcasts.
+        // (i)+(ii) Query Blocking and Block-Join: the EQBI is the table's
+        // driver-side refined TBI restricted to the unresolved entities,
+        // whose blocks are their blocking keys; no Spark job.
         val sc = ctx.spark.sparkContext
-        val (index, tJoin) =
-          Measures.timed(BlockIndex(blockJoin(ctx, qbiKeys(ctx, unresolved), unresolved, cfg.mb)))
+        val (index, tJoin) = Measures.timed(ctx.blockIndex(cfg.mb).restrict(unresolved))
         val broadcastIndex = sc.broadcast(index)
         try {
           // (iii) Meta-Blocking — comparison refinement: the candidate pairs
@@ -130,20 +137,4 @@ object Deduplicate {
     DedupOutcome(ctx, qeIds, clusterOf, li.linksAmong(clusterOf.keySet),
       DedupStats(qeIds.size, unresolved.size, clusterOf.size, comparisons, candidateBlocks, times, pc))
   }
-
-  /** Query Blocking: the blocking keys (QBI) of the `ids` entities, one
-    * row per entity and key. QE ⊆ E and blocking is deterministic, so the
-    * keys are read from the TBI rather than re-tokenised.
-    */
-  def qbiKeys(ctx: TableContext, ids: Set[Long]): DataFrame =
-    ctx.tbi.where(TableContext.isIn(ids)).select("token")
-
-  /** Block-Join: semi-join of the BP/BF-refined TBI (see
-    * [[TableContext.retainedTbi]]) with the QBI `keys`, giving the
-    * enriched query block index EQBI as `(token, eid, isQuery)`, where
-    * `isQuery` marks the `ids` entities. The Deduplicate operator and the
-    * planner's comparison estimate both read this one query graph.
-    */
-  def blockJoin(ctx: TableContext, keys: DataFrame, ids: Set[Long], mb: MbConfig): DataFrame =
-    ctx.retainedTbi(mb).join(keys, Seq("token"), "left_semi").withColumn("isQuery", TableContext.isIn(ids))
 }

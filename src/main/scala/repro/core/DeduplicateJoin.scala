@@ -1,6 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, functions => F}
+import org.apache.spark.sql.{Column, DataFrame, Row, functions => F}
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
+
+import scala.jdk.CollectionConverters._
 
 /** Deduplicate-Join operator (paper §6.2, Algorithms 1–2).
   *
@@ -9,7 +12,8 @@ import org.apache.spark.sql.{Column, DataFrame, functions => F}
   * resolved side (Alg. 1 line 4), then resolved with the Deduplicate
   * operator, and finally the two DR sets are joined at duplicate-cluster
   * granularity so every variant of an entity's values can satisfy the join
-  * predicate (Alg. 2).
+  * predicate (Alg. 2). Both joins read the DR sets' collected profiles
+  * ([[DedupOutcome.drProfiles]]) on the driver; no join is planned in Spark.
   */
 object DeduplicateJoin {
   import Tokenizer.EidCol
@@ -44,6 +48,7 @@ object DeduplicateJoin {
 
   /** QE' of the dirty side: its filtered entities that equi-join with any
     * join-attribute variant present in the resolved side's DR (Alg. 1).
+    * The variants reach the filter as a broadcast set: one Spark job.
     */
   private def reduceDirtySide(
       resolved: DedupOutcome,
@@ -51,22 +56,33 @@ object DeduplicateJoin {
       dirtyCtx: TableContext,
       dirtyPred: Column,
       dirtyAttr: String,
-  ): DataFrame = {
-    val vals = resolved.drRows
-      .select(F.col(resolvedAttr).cast("string").as("__jv"))
-      .where(F.col("__jv").isNotNull && F.length(F.trim(F.col("__jv"))) > 0)
-      .distinct()
-    dirtyCtx.rows
-      .where(dirtyPred)
-      .join(vals, dirtyCtx.rows(dirtyAttr).cast("string") === F.col("__jv"), "left_semi")
-      .select(EidCol)
+  ): Set[Long] = {
+    val values = dirtyCtx.spark.sparkContext.broadcast(joinValues(resolved, resolvedAttr).map(_._2).toSet)
+    try {
+      val joins = F.udf((v: String) => v != null && values.value.contains(v))
+      dirtyCtx.rows.where(dirtyPred && joins(F.col(dirtyAttr).cast("string")))
+        .select(F.col(EidCol).cast("long")).collect().map(_.getLong(0)).toSet
+    } finally values.destroy()
+  }
+
+  /** `(cluster, join value)` of every DR entity whose `attr` value is not
+    * blank: the value variants Alg. 2 joins on.
+    */
+  private def joinValues(side: DedupOutcome, attr: String): Seq[(Long, String)] = {
+    val i = side.ctx.attrs.indexWhere(_.equalsIgnoreCase(attr))
+    require(i >= 0, s"unknown join attribute '$attr' of table ${side.ctx.name}")
+    side.drProfiles.toSeq.collect {
+      case (id, vs) if GroupEntities.nonBlank(vs(i)) => (side.clusterOf.getOrElse(id, id), vs(i))
+    }
   }
 
   /** Alg. 2 at cluster granularity: the joined DR is the set of
     * (left-cluster, right-cluster) pairs where some pair of member
-    * entities equi-joins; the output row is the cartesian of the two
-    * groups folded by Group-Entities, i.e. the grouped left record next
-    * to the grouped right record. Columns are prefixed `<table>_`.
+    * entities equi-joins; the output row is the grouped left record next
+    * to the grouped right record, as Group-Entities folds them. Columns:
+    * `rcluster`, `lcluster`, then each side's grouped columns but its
+    * cluster, prefixed `<table>_`; rows ordered by (lcluster, rcluster).
+    * The result is a driver-local DataFrame.
     */
   def joinOperation(
       left: DedupOutcome,
@@ -74,35 +90,19 @@ object DeduplicateJoin {
       leftAttr: String,
       rightAttr: String,
   ): DataFrame = {
-    val lName = left.ctx.name
-    val rName = right.ctx.name
-    // bind the maps locally — the UDF closure must not capture the
-    // DedupOutcome (its TableContext is not serializable)
-    val lMap = left.clusterOf
-    val rMap = right.clusterOf
-    val lCl  = F.udf((id: Long) => lMap.getOrElse(id, id))
-    val rCl  = F.udf((id: Long) => rMap.getOrElse(id, id))
-
-    val joinPairs = left.drRows
-      .select(lCl(F.col(EidCol)).as("lcluster"), F.col(leftAttr).cast("string").as("__lv"))
-      .where(F.col("__lv").isNotNull && F.length(F.trim(F.col("__lv"))) > 0)
-      .join(
-        right.drRows.select(rCl(F.col(EidCol)).as("rcluster"),
-          F.col(rightAttr).cast("string").as("__rv"))
-          .where(F.col("__rv").isNotNull && F.length(F.trim(F.col("__rv"))) > 0),
-        F.col("__lv") === F.col("__rv"))
-      .select("lcluster", "rcluster")
-      .distinct()
-
-    val lGrouped = prefix(GroupEntities.group(left.drRows, left.clusterOf, left.ctx.attrs), lName)
-      .withColumnRenamed(s"${lName}_cluster", "lcluster")
-    val rGrouped = prefix(GroupEntities.group(right.drRows, right.clusterOf, right.ctx.attrs), rName)
-      .withColumnRenamed(s"${rName}_cluster", "rcluster")
-
-    joinPairs.join(lGrouped, "lcluster").join(rGrouped, "rcluster")
+    def groups(side: DedupOutcome): Map[Long, Seq[Any]] =
+      GroupEntities.fold(side.drProfiles, side.clusterOf, side.ctx.attrs)
+        .map(r => r.getLong(0) -> r.toSeq.tail).toMap
+    val (lGroups, rGroups) = (groups(left), groups(right))
+    val rByValue = joinValues(right, rightAttr).groupMap(_._2)(_._1)
+    val pairs = joinValues(left, leftAttr)
+      .flatMap { case (lc, v) => rByValue.getOrElse(v, Nil).map(lc -> _) }
+      .distinct.sorted
+    val rows = pairs.map { case (lc, rc) => Row.fromSeq(rc +: lc +: (lGroups(lc) ++ rGroups(rc))) }
+    def fields(side: DedupOutcome) =
+      GroupEntities.schema(side.ctx.attrs).fields.tail.map(f => f.copy(name = s"${side.ctx.name}_${f.name}"))
+    val schema = StructType(Seq("rcluster", "lcluster").map(StructField(_, LongType, nullable = false)) ++
+      fields(left) ++ fields(right))
+    left.ctx.spark.createDataFrame(rows.asJava, schema)
   }
-
-  /** Prefix every column of a grouped DataFrame with the table name. */
-  def prefix(df: DataFrame, table: String): DataFrame =
-    df.columns.foldLeft(df)((d, c) => d.withColumnRenamed(c, s"${table}_$c"))
 }

@@ -27,9 +27,6 @@ final class LinkIndex {
   def addLinks(pairs: Iterable[(Long, Long)]): Unit =
     pairs.foreach { case (a, b) => addLink(a, b) }
 
-  /** Direct duplicates of an entity. */
-  def partners(id: Long): Set[Long] = adj.get(id).map(_.toSet).getOrElse(Set.empty)
-
   /** Transitive closure of the link-set of `ids` (BFS; clusters are tiny). */
   def closure(ids: Iterable[Long]): Set[Long] = {
     val seen  = mutable.HashSet.empty[Long]

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, SparkSession, functions => F}
 import org.apache.spark.storage.StorageLevel
@@ -35,8 +36,11 @@ final class TableContext(
   /** Entity rows, cached — queries repeatedly scan them. */
   lazy val rows: DataFrame = materialise(df)
 
-  /** The entity rows of `ids`: a filter on the cached rows. */
-  def rowsOf(ids: Set[Long]): DataFrame = rows.where(TableContext.isIn(ids))
+  /** The entity rows of `ids`: a filter on the cached rows. The ids reach
+    * the tasks as a broadcast variable, which Spark's context cleaner
+    * releases once the rows are unreachable.
+    */
+  def rowsOf(ids: Set[Long]): DataFrame = rows.where(TableContext.isIn(spark.sparkContext.broadcast(ids)))
 
   /** TBI_E as `(eid, token)` entity/block incidence pairs. */
   lazy val tbi: DataFrame = materialise(Tokenizer.tokenize(rows))
@@ -86,6 +90,19 @@ final class TableContext(
       materialise(cur)
     })
 
+  private val indexMemo =
+    scala.collection.concurrent.TrieMap.empty[(Boolean, Boolean), BlockIndex]
+
+  /** The refined TBI of [[retainedTbi]] held on the driver, as the paper
+    * keeps its TBI in memory (§3): each block's members and each entity's
+    * blocks, every entity a query entity. Collected once per table and
+    * configuration; a statement's Block-Join and the planner's estimate
+    * are lookups in it ([[BlockIndex.restrict]]).
+    */
+  def blockIndex(mb: MbConfig): BlockIndex =
+    indexMemo.getOrElseUpdate((mb.purge, mb.filter),
+      BlockIndex(retainedTbi(mb).withColumn("isQuery", F.lit(true))))
+
   /** Memoised full-table batch runs per configuration (the BA baseline). */
   private[repro] val batchMemo =
     scala.collection.concurrent.TrieMap.empty[DedupConfig, BatchResult]
@@ -93,10 +110,13 @@ final class TableContext(
   /** Forget all progressive state (used between benchmark configurations). */
   def resetLinkIndex(): Unit = li.clear()
 
-  /** Release the cached indices, the refined TBIs included. */
+  /** Release the cached indices, the refined TBIs and their driver-side
+    * block indices included.
+    */
   def unpersistAll(): Unit = {
     retainedMemo.values.foreach(_.unpersist())
     retainedMemo.clear()
+    indexMemo.clear()
     blockSizes.unpersist(); tbi.unpersist(); rows.unpersist()
   }
 }
@@ -108,7 +128,8 @@ object TableContext {
     new TableContext(name, df, truth)
 
   /** Whether the entity id is one of `ids`. */
-  def isIn(ids: Set[Long]): Column = F.udf((id: Long) => ids.contains(id)).apply(F.col(EidCol))
+  def isIn(ids: Broadcast[Set[Long]]): Column =
+    F.udf((id: Long) => ids.value.contains(id)).apply(F.col(EidCol))
 
   /** `(eid, attribute values cast to string)` of each entity row: what the
     * resolution function compares and Group-Entities folds.

@@ -25,7 +25,8 @@ object Measures {
   def pairCompleteness(ctx: TableContext, qe: Set[Long], candidatePairs: DataFrame): Double = {
     val truth = ctx.truth.getOrElse(
       throw new IllegalStateException(s"no ground truth registered for ${ctx.name}"))
-    val inQe = F.udf((id: Long) => qe.contains(id))
+    val qeIds = ctx.spark.sparkContext.broadcast(qe)
+    val inQe  = F.udf((id: Long) => qeIds.value.contains(id))
     val a = truth.select(F.col("eid").as("aid"), F.col("cluster"))
     val b = truth.select(F.col("eid").as("bid"), F.col("cluster"))
     val gtPairs = a.join(b, "cluster")

@@ -42,15 +42,26 @@ object Planner {
   /** Cost-based placement for a two-table dedupe join: estimate the
     * comparisons of each branch from the ER statistics and deduplicate
     * the cheaper branch first (paper Table 5 / §7.2.1.ii). Ties break to
-    * the left branch for determinism.
+    * the left branch for determinism. `useLinkIndex` is the statement's:
+    * the Link Index's resolved entities are priced out only when it is on.
     */
   def planJoin(
       lCtx: TableContext, lPred: Pred,
       rCtx: TableContext, rPred: Pred,
       mb: MbConfig = MbConfig.All,
+      useLinkIndex: Boolean = true,
+  ): JoinPlan =
+    plan(lCtx, Statistics.selectedSet(lCtx, lPred), rCtx, Statistics.selectedSet(rCtx, rPred),
+      mb, useLinkIndex)
+
+  /** [[planJoin]] over the branches' selected sets. */
+  def plan(
+      lCtx: TableContext, lSelected: Set[Long],
+      rCtx: TableContext, rSelected: Set[Long],
+      mb: MbConfig, useLinkIndex: Boolean,
   ): JoinPlan = {
-    val cl = Statistics.estimateComparisons(lCtx, lPred, mb)
-    val cr = Statistics.estimateComparisons(rCtx, rPred, mb)
+    val cl = Statistics.estimateComparisons(lCtx, lSelected, mb, useLinkIndex)
+    val cr = Statistics.estimateComparisons(rCtx, rSelected, mb, useLinkIndex)
     JoinPlan(if (cl <= cr) LeftSide else RightSide, cl, cr)
   }
 }

@@ -7,12 +7,14 @@ import repro.core._
   * comparisons. Literals in the WHERE clause define blocking keys; the
   * selected set S_E is approximated from the TBI blocks of those keys
   * (AND = intersection, OR = union), the candidate block collection SB
-  * is the Deduplicate operator's own EQBI over the BP/BF-refined TBI, and
-  * C = Σ_b |q_b|·(|S_b| − (|q_b|+1)/2). The estimation stops before Edge
-  * Pruning, as the paper does, because the inequality between branches
-  * is already decided there. The paper's other two statistics (the
-  * duplication factor and the join percentage) are not built: the
-  * two-table AES plan compares only the two branches' estimates.
+  * is the Deduplicate operator's own EQBI, a lookup in the table's
+  * driver-side refined TBI ([[TableContext.blockIndex]]), and
+  * C = Σ_b |q_b|·(|S_b| − (|q_b|+1)/2), computed on the driver. The
+  * estimation stops before Edge Pruning, as the paper does, because the
+  * inequality between branches is already decided there. The paper's
+  * other two statistics (the duplication factor and the join percentage)
+  * are not built: the two-table AES plan compares only the two branches'
+  * estimates.
   */
 object Statistics {
   import Tokenizer.EidCol
@@ -20,7 +22,8 @@ object Statistics {
   /** Entities selected by the predicate, derived from blocking keys where
     * the predicate carries literals and by evaluating the filter otherwise
     * (ranges/MOD — cheap at registration time; the paper's estimator only
-    * covers literal conditions).
+    * covers literal conditions). Without a literal it is the predicate's
+    * exact QE ([[isExact]]), which the executor reuses.
     */
   def selectedSet(ctx: TableContext, pred: Pred): Set[Long] = {
     val spark = ctx.spark
@@ -45,20 +48,29 @@ object Statistics {
     }
   }
 
-  /** Estimated number of comparisons the Deduplicate operator would
-    * execute for this predicate (post BP+BF, pre EP): the entities it
-    * selects that the Link Index has not resolved, blocked through the
-    * query graph the operator executes, up to Block-Join.
+  /** Whether [[selectedSet]] is exactly the entities the predicate
+    * selects: it is unless the predicate carries an `=` or `IN` literal.
     */
-  def estimateComparisons(ctx: TableContext, pred: Pred, mb: MbConfig = MbConfig.All): Long = {
-    val selected = selectedSet(ctx, pred).filterNot(ctx.li.isResolved)
-    if (selected.isEmpty) return 0L
-    val sb = Deduplicate.blockJoin(ctx, Deduplicate.qbiKeys(ctx, selected), selected, mb)
-    val est = sb.groupBy("token")
-      .agg(F.count("*").as("n"), F.sum(F.col("isQuery").cast("long")).as("q"))
-      .where(F.col("q") > 0)
-      .agg(F.sum(F.col("q") * (F.col("n") - (F.col("q") + 1) / 2.0)).as("c"))
-      .collect()(0)
-    if (est.isNullAt(0)) 0L else math.max(0L, math.round(est.getDouble(0)))
+  def isExact(pred: Pred): Boolean = pred match {
+    case _: EqPred | _: InPred => false
+    case AndPred(l, r)         => isExact(l) && isExact(r)
+    case OrPred(l, r)          => isExact(l) && isExact(r)
+    case _                     => true
+  }
+
+  /** Estimated number of comparisons the Deduplicate operator would
+    * execute for the `selected` entities (post BP+BF, pre EP): over the
+    * entities it would leave unresolved (the Link Index's resolved ones
+    * dropped only when the statement runs with it), blocked through the
+    * query graph the operator executes, up to Block-Join. No Spark job.
+    */
+  def estimateComparisons(
+      ctx: TableContext,
+      selected: Set[Long],
+      mb: MbConfig = MbConfig.All,
+      useLinkIndex: Boolean = true,
+  ): Long = {
+    val unresolved = if (useLinkIndex) selected.filterNot(ctx.li.isResolved) else selected
+    ctx.blockIndex(mb).restrict(unresolved).estimatedComparisons
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{CatalystReference, SparkSpec}
 import repro.data.MotivatingExample
 
 /** Deduplicate-Join operator (paper §6.2, Algorithms 1–2) on the
@@ -75,9 +75,33 @@ class DeduplicateJoinSpec extends SparkSpec {
     assert(DeduplicateJoin.joinOperation(lDr, rDr, "k", "k").count() == 0)
   }
 
-  test("prefix renames every column") {
+  test("join operation matches its Catalyst reference, schema included") {
     import spark.implicits._
-    val df = Seq((1L, "a")).toDF("cluster", "x")
-    assert(DeduplicateJoin.prefix(df, "t").columns.toSeq == Seq("t_cluster", "t_x"))
+    // clusters are given, so each value variant's cluster is known
+    def outcome(ctx: TableContext, clusterOf: Map[Long, Long]) =
+      DedupOutcome(ctx, clusterOf.keySet, clusterOf, Nil, DedupStats(0, 0, 0, 0, 0, StageTimes(), None))
+    val l = TableContext("lv", Seq[(Long, String, String)](
+      (1L, "EDBT", "1"), (2L, "Extending DB Tech", "x y"), (3L, null, "3"), (4L, "  ", " "),
+      (5L, "", ""), (6L, "edbt", null), (7L, "EDBT ", "7"), (8L, "ICDE", "s")).toDF("eid", "venue", "a"))
+    val r = TableContext("rv", Seq[(Long, String, Int)](
+      (10L, "EDBT", 1), (11L, "Extending DB Tech", 2), (12L, null, 3), (13L, "  ", 4),
+      (14L, "EDBT ", 5), (15L, "VLDB", 6), (16L, "", 7)).toDF("eid", "title", "rank"))
+    val lOut = outcome(l, Map(1L -> 1L, 2L -> 1L, 3L -> 3L, 4L -> 3L, 5L -> 5L, 6L -> 6L, 7L -> 6L, 8L -> 8L))
+    val rOut = outcome(r, Map(10L -> 10L, 11L -> 11L, 12L -> 12L, 13L -> 13L, 14L -> 14L, 15L -> 14L, 16L -> 16L))
+    val joined   = DeduplicateJoin.joinOperation(lOut, rOut, "venue", "title")
+    val expected = CatalystReference.joinOperation(lOut, rOut, "venue", "title")
+    assert(joined.schema == expected.schema)
+    assert(joined.columns.toSeq == Seq("rcluster", "lcluster", "lv_members", "lv_venue", "lv_a",
+      "rv_members", "rv_title", "rv_rank"))
+    assert(joined.collect().toSet == expected.collect().toSet)
+    // EDBT / Extending DB Tech of cluster 1 meet V10 and V11; "EDBT " of
+    // cluster 6 meets V14; null and blank values meet nothing
+    assert(joined.select("lcluster", "rcluster").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq ==
+      Seq((1L, 10L), (1L, 11L), (6L, 14L)))
+    // a numeric join attribute joins by its string cast: "1", "3", "7"
+    val byRank = DeduplicateJoin.joinOperation(lOut, rOut, "a", "rank")
+    val byRankExpected = CatalystReference.joinOperation(lOut, rOut, "a", "rank")
+    assert(byRank.schema == byRankExpected.schema)
+    assert(byRank.collect().toSet == byRankExpected.collect().toSet && byRank.count() == 3)
   }
 }

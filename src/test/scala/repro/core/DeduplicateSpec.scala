@@ -117,10 +117,10 @@ class DeduplicateSpec extends SparkSpec {
     } finally spark.conf.set("spark.sql.adaptive.enabled", adaptive)
   }
 
-  test("one Spark job per stage action: 3 under ALL, 2 under BP+BF") {
+  test("one Spark job per stage action: 2 under ALL, 1 under BP+BF") {
     def jobsOf(mb: MbConfig) = jobSites(DedupConfig(mb = mb, useLinkIndex = false)).size
-    assert(jobsOf(MbConfig.All) == 3)
-    assert(jobsOf(MbConfig.BpBf) == 2)
+    assert(jobsOf(MbConfig.All) == 2)
+    assert(jobsOf(MbConfig.BpBf) == 1)
   }
 
   test("PC runs after the timed stages, which launch the same jobs as without it") {

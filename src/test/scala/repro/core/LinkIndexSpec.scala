@@ -16,13 +16,14 @@ class LinkIndexSpec extends AnyFunSuite {
   }
   test("addLink is symmetric") {
     val li = new LinkIndex
-    li.addLink(1L, 2L)
-    assert(li.partners(1L) == Set(2L) && li.partners(2L) == Set(1L))
+    li.addLink(2L, 1L)
+    assert(li.closure(Seq(1L)) == Set(1L, 2L) && li.closure(Seq(2L)) == Set(1L, 2L))
+    assert(li.linksAmong(Set(1L, 2L)) == Seq((1L, 2L)))
   }
   test("self links are ignored") {
     val li = new LinkIndex
     li.addLink(3L, 3L)
-    assert(li.partners(3L).isEmpty && li.linkCount == 0)
+    assert(li.closure(Seq(3L)) == Set(3L) && li.linksAmong(Set(3L)).isEmpty && li.linkCount == 0)
   }
   test("linkCount counts undirected links once") {
     val li = new LinkIndex
@@ -61,7 +62,9 @@ class LinkIndexSpec extends AnyFunSuite {
     li.clear()
     assert(li.linkCount == 0 && li.resolvedCount == 0)
   }
-  test("partners of unknown id is empty") {
-    assert((new LinkIndex).partners(99L).isEmpty)
+  test("an unknown id has no links") {
+    val li = new LinkIndex
+    li.addLink(1L, 2L)
+    assert(li.linksAmong(Set(1L, 99L)).isEmpty && li.clusters(Seq(99L)) == Map(99L -> 99L))
   }
 }

@@ -140,14 +140,14 @@ class MetaBlockingSpec extends SparkSpec with PropSupport {
     assert(MetaBlocking.edgePruning(pairs).count() == 2)
   }
 
-  /** The surviving pairs of the production path: the table's refined TBI,
-    * the shared EQBI of `ids`, candidate pairs, then Edge Pruning.
+  /** The surviving pairs of the production path: the table's refined TBI
+    * restricted to `ids` (Block-Join), candidate pairs, then Edge Pruning.
     */
   private def pairsOf(ctx: TableContext, ids: Set[Long], mb: MbConfig): Set[(Long, Long)] = {
-    val eqbi  = Deduplicate.blockJoin(ctx, Deduplicate.qbiKeys(ctx, ids), ids, mb)
-    val raw   = candidatePairs(eqbi)
+    val sc    = spark.sparkContext
+    val raw   = candidatePairs(sc, sc.broadcast(ctx.blockIndex(mb).restrict(ids)))
     val pairs = if (mb.edgePruning) edgePruning(raw) else raw
-    pairs.select("aid", "bid").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    pairs.map(e => (e.aid, e.bid)).collect().toSet
   }
 
   private def table(values: (Long, String)*): TableContext = {

@@ -123,6 +123,25 @@ class ExecutorSpec extends SparkSpec {
     assert(key(dq) == key(ba))
   }
 
+  test("a repeated join statement compiles no new classes: its generated code fits Spark's codegen cache") {
+    // the join twin of the SP test above: the planner's estimate, both
+    // Block-Joins and Deduplicate-Join run on the driver, so a repeated
+    // statement plans no join and compiles nothing new
+    val ppl  = Datasets.ppl(spark, 1000).toContext
+    val oao  = Datasets.oao(spark, 300).toContext
+    val spec = JoinSpec(SelectSpec("ppl", Workload.rangeFor("ppl", 0.3)), SelectSpec("oao", TruePred),
+      "org", "orgname")
+    def compiledByOneRun(): Long = {
+      val before = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+      Executor.runJoin(ppl, oao, spec, AdvancedPlanner, cfg)._1.collect()
+      CodegenMetrics.METRIC_COMPILATION_TIME.getCount - before
+    }
+    try {
+      val counts = Seq.fill(4)(compiledByOneRun())
+      assert(counts.last <= 5, s"classes compiled per run: ${counts.mkString(", ")}")
+    } finally { ppl.unpersistAll(); oao.unpersistAll() }
+  }
+
   test("runJoin projection selects prefixed columns") {
     val spec = joinSpec.copy(projection = Seq(("pExec", "title"), ("pExec", "year"), ("vExec", "rank")))
     val (out, _) = Executor.runJoin(pCtx, vCtx, spec, AdvancedPlanner, cfg)

@@ -1,14 +1,19 @@
 package repro.planner
 
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import repro.{CatalystReference, PropSupport, SparkSpec}
 import repro.core._
 import repro.data.{Datasets, MotivatingExample}
 
 /** The ER planner statistic, estimated comparisons (paper §7.2.1.i). */
-class StatisticsSpec extends SparkSpec {
+class StatisticsSpec extends SparkSpec with PropSupport {
 
   private def pCtx = TableContext("pStat", MotivatingExample.publications(spark))
   private def vCtx = TableContext("vStat", MotivatingExample.venues(spark))
+
+  private def estimate(ctx: TableContext, pred: Pred, mb: MbConfig = MbConfig.All): Long =
+    Statistics.estimateComparisons(ctx, Statistics.selectedSet(ctx, pred), mb)
 
   test("selectedSet from an equality literal uses the literal's blocking keys") {
     val s = Statistics.selectedSet(pCtx, EqPred("venue", "EDBT"))
@@ -39,28 +44,28 @@ class StatisticsSpec extends SparkSpec {
   }
 
   test("estimateComparisons is zero for an empty selection") {
-    assert(Statistics.estimateComparisons(pCtx, EqPred("venue", "nonexistentvenuename")) == 0L)
+    assert(estimate(pCtx, EqPred("venue", "nonexistentvenuename")) == 0L)
   }
   test("estimateComparisons grows with selectivity") {
     val ds  = Datasets.ppl(spark, 1000)
     val ctx = ds.toContext
-    val small = Statistics.estimateComparisons(ctx, RangePred("byear", 1900, 1904))
-    val large = Statistics.estimateComparisons(ctx, RangePred("byear", 1900, 1979))
+    val small = estimate(ctx, RangePred("byear", 1900, 1904))
+    val large = estimate(ctx, RangePred("byear", 1900, 1979))
     assert(small < large)
   }
   test("estimateComparisons tracks the executed comparisons' branch ordering") {
     // the estimator's purpose: decide which branch yields fewer comparisons
     val ppl = Datasets.ppl(spark, 1000).toContext
     val oao = Datasets.oao(spark, 300).toContext
-    val cPpl = Statistics.estimateComparisons(ppl, TruePred)
-    val cOao = Statistics.estimateComparisons(oao, TruePred)
+    val cPpl = estimate(ppl, TruePred)
+    val cOao = estimate(oao, TruePred)
     assert(cOao < cPpl) // the small clean-ish table is cheaper to clean first
   }
   test("estimateComparisons excludes already-resolved entities") {
     val ctx = pCtx
-    val before = Statistics.estimateComparisons(ctx, EqPred("venue", "EDBT"))
+    val before = estimate(ctx, EqPred("venue", "EDBT"))
     ctx.li.markResolved(Seq(1L, 6L, 8L))
-    val after = Statistics.estimateComparisons(ctx, EqPred("venue", "EDBT"))
+    val after = estimate(ctx, EqPred("venue", "EDBT"))
     assert(before > 0 && after == 0)
   }
   test("the estimate bounds the candidate pairs, which bound the executed comparisons") {
@@ -70,14 +75,72 @@ class StatisticsSpec extends SparkSpec {
       pCtx -> EqPred("venue", "EDBT"),
       Datasets.ppl(spark, 500).toContext -> RangePred("byear", 1900, 1940))
     for ((ctx, pred) <- targets; mb <- Seq(MbConfig.All, MbConfig.BpBf, MbConfig.BpEp)) {
+      val sc    = spark.sparkContext
       val s     = Statistics.selectedSet(ctx, pred)
-      val est   = Statistics.estimateComparisons(ctx, pred, mb)
-      val pairs = MetaBlocking.candidatePairs(
-        Deduplicate.blockJoin(ctx, Deduplicate.qbiKeys(ctx, s), s, mb)).count()
+      val est   = estimate(ctx, pred, mb)
+      val pairs = MetaBlocking.candidatePairs(sc, sc.broadcast(ctx.blockIndex(mb).restrict(s))).count()
       val executed = Deduplicate.run(ctx, s, DedupConfig(mb = mb, useLinkIndex = false))
         .stats.comparisons
       assert(s.nonEmpty && est >= pairs && pairs >= executed && executed > 0,
         s"${ctx.name} ${mb.label}: $est ≥ $pairs ≥ $executed")
     }
+  }
+
+  test("an estimate with the Link Index off prices the entities the Link Index resolved") {
+    // the executor compares every QE entity when the LI is off, so the
+    // plan must price them too, whatever an earlier statement resolved
+    val (p, v) = (pCtx, vCtx)
+    val edbt   = EqPred("venue", "EDBT")
+    val fresh  = Planner.planJoin(p, edbt, v, TruePred, useLinkIndex = false)
+    Deduplicate.run(p, Set(1L, 6L, 8L), DedupConfig()) // LI on: resolves the EDBT papers
+    assert(Planner.planJoin(p, edbt, v, TruePred).estLeftComparisons == 0)
+    assert(Planner.planJoin(p, edbt, v, TruePred, useLinkIndex = false) == fresh)
+    val spec = JoinSpec(SelectSpec("p", edbt), SelectSpec("v", TruePred), "venue", "title")
+    val (_, stats) = Executor.runJoin(p, v, spec, AdvancedPlanner, DedupConfig(useLinkIndex = false))
+    assert(stats.plan.contains(fresh) && fresh.estLeftComparisons > 0)
+    assert(stats.sideComparisons.exists(_._1 > 0))
+  }
+
+  /** A random two-attribute table: a few common tokens, which Block
+    * Purging and Block Filtering act on, over a tail of rarer ones; some
+    * values null. With a random query set.
+    */
+  private val randomTable: Gen[(Seq[(Long, String, String)], Set[Long])] = {
+    val words = Vector("aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh", "ii", "jj", "kk", "ll")
+    val value = for {
+      common <- Gen.listOfN(3, Gen.prob(0.85))
+      rare   <- Gen.listOfN(words.size - 3, Gen.prob(0.12))
+      isNull <- Gen.prob(0.1)
+    } yield Option.unless(isNull)(words.zip(common ++ rare).collect { case (w, true) => w }.mkString(" "))
+    for {
+      n     <- Gen.choose(8, 60)
+      rows  <- Gen.listOfN(n, Gen.zip(value, value))
+      query <- Gen.listOfN(n, Gen.prob(0.3))
+    } yield (rows.zipWithIndex.map { case ((a, b), i) => (i.toLong, a.orNull, b.orNull) },
+      query.zipWithIndex.collect { case (true, i) => i.toLong }.toSet)
+  }
+
+  test("property: the driver estimate and pairs equal the Catalyst EQBI's under every MbConfig") {
+    import spark.implicits._
+    val sc = spark.sparkContext
+    // the tables are tiny: a few shuffle partitions keep each case fast
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", 2)
+    try checkProp(Prop.forAll(randomTable) { case (rows, ids) =>
+      val ctx = TableContext("prop", rows.toDF("eid", "a", "b"))
+      try Prop.all(Seq(MbConfig.All, MbConfig.BpBf, MbConfig.BpEp, MbConfig.None).map { mb =>
+        val index = ctx.blockIndex(mb).restrict(ids)
+        val eqbi  = CatalystReference.eqbi(ctx, ids, mb)
+        val pairs = MetaBlocking.candidatePairs(sc, sc.broadcast(index)).collect()
+          .map(e => (e.aid, e.bid) -> e.weight).toMap
+        val expected = MetaBlocking.candidatePairs(eqbi).collect()
+          .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
+        val sameWeights = pairs.forall { case (p, w) => expected.get(p).exists(x => math.abs(x - w) < 1e-9) }
+        (index.estimatedComparisons == CatalystReference.estimate(eqbi) &&
+          pairs.keySet == expected.keySet && sameWeights) :| s"${mb.label} over ${rows.size} rows"
+      }: _*)
+      finally ctx.unpersistAll()
+    }, minTests = 8)
+    finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
   }
 }
