@@ -66,14 +66,19 @@ object DeduplicateJoin {
   }
 
   /** `(cluster, join value)` of every DR entity whose `attr` value is not
-    * blank: the value variants Alg. 2 joins on.
+    * blank: the value variants Alg. 2 joins on. The entity id joins as
+    * its string, as a cast column would.
     */
   private def joinValues(side: DedupOutcome, attr: String): Seq[(Long, String)] = {
-    val i = side.ctx.attrs.indexWhere(_.equalsIgnoreCase(attr))
-    require(i >= 0, s"unknown join attribute '$attr' of table ${side.ctx.name}")
-    side.drProfiles.toSeq.collect {
-      case (id, vs) if GroupEntities.nonBlank(vs(i)) => (side.clusterOf.getOrElse(id, id), vs(i))
-    }
+    val value: (Long, Array[String]) => String =
+      if (attr.equalsIgnoreCase(EidCol)) (id, _) => id.toString
+      else {
+        val i = side.ctx.attrs.indexWhere(_.equalsIgnoreCase(attr))
+        require(i >= 0, s"unknown join attribute '$attr' of table ${side.ctx.name}")
+        (_, vs) => vs(i)
+      }
+    side.drProfiles.toSeq.map { case (id, vs) => (side.clusterOf.getOrElse(id, id), value(id, vs)) }
+      .filter { case (_, v) => GroupEntities.nonBlank(v) }
   }
 
   /** Alg. 2 at cluster granularity: the joined DR is the set of

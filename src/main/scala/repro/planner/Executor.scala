@@ -32,7 +32,7 @@ object Executor {
       cfg: DedupConfig = DedupConfig(),
   ): (DataFrame, ExecStats) = {
     val ((outcome, (result, groupMs)), totalMs) = Measures.timed {
-      val out = filterDedup(ctx, spec.pred, cfg)
+      val out = Deduplicate.run(ctx, ctx.rows.where(spec.pred.toColumn).select(Tokenizer.EidCol), cfg)
       (out, Measures.timed(groupAnswer(out, spec.projection)))
     }
     val s = outcome.stats
@@ -75,27 +75,23 @@ object Executor {
       cfg: DedupConfig = DedupConfig(),
   ): (DataFrame, ExecStats) = {
     val ((result, lOut, rOut, plan), totalMs) = Measures.timed {
-      // the branch deduplicated first, with its QE if the planner already
-      // collected it (the selected set of a predicate with no literal);
-      // None = NES, both branches at once
+      // the branch deduplicated first; None = NES, both branches at once
       val (plan, first) = kind match {
         case NaivePlanner     => (None, None)
-        case CleanFirst(side) => (None, Some(side -> None))
         case AdvancedPlanner  =>
-          val (lSel, rSel) =
-            (Statistics.selectedSet(lCtx, spec.left.pred), Statistics.selectedSet(rCtx, spec.right.pred))
-          val p = Planner.plan(lCtx, lSel, rCtx, rSel, cfg.mb, cfg.useLinkIndex)
-          val (side, sel) = if (p.dedupFirst == LeftSide) (spec.left, lSel) else (spec.right, rSel)
-          (Some(p), Some(p.dedupFirst -> Option.when(Statistics.isExact(side.pred))(sel)))
+          val p = Planner.plan(lCtx, Statistics.selectedSet(lCtx, spec.left.pred),
+            rCtx, Statistics.selectedSet(rCtx, spec.right.pred), cfg.mb, cfg.useLinkIndex)
+          (Some(p), Some(p.dedupFirst))
+        case CleanFirst(side) => (None, Some(side))
       }
-      def clean(ctx: TableContext, side: SelectSpec, qe: Option[Set[Long]] = None): DedupOutcome =
-        qe.fold(filterDedup(ctx, side.pred, cfg))(Deduplicate.run(ctx, _, cfg))
+      def clean(ctx: TableContext, side: SelectSpec): DedupOutcome =
+        Deduplicate.run(ctx, ctx.rows.where(side.pred.toColumn).select(Tokenizer.EidCol), cfg)
       val (lOut, rOut) = first match {
         case None => (clean(lCtx, spec.left), clean(rCtx, spec.right))
-        case Some((LeftSide, qe)) => DeduplicateJoin.dirtyRight(
-          clean(lCtx, spec.left, qe), rCtx, spec.right.pred.toColumn, spec.leftAttr, spec.rightAttr, cfg)
-        case Some((RightSide, qe)) => DeduplicateJoin.dirtyLeft(
-          lCtx, spec.left.pred.toColumn, clean(rCtx, spec.right, qe), spec.leftAttr, spec.rightAttr, cfg)
+        case Some(LeftSide) => DeduplicateJoin.dirtyRight(
+          clean(lCtx, spec.left), rCtx, spec.right.pred.toColumn, spec.leftAttr, spec.rightAttr, cfg)
+        case Some(RightSide) => DeduplicateJoin.dirtyLeft(
+          lCtx, spec.left.pred.toColumn, clean(rCtx, spec.right), spec.leftAttr, spec.rightAttr, cfg)
       }
       (joinAnswer(lOut, rOut, spec), lOut, rOut, plan)
     }
@@ -129,10 +125,6 @@ object Executor {
     (result, ExecStats(totalMs, lb.comparisons + rb.comparisons,
       lCtx.size + rCtx.size, lCtx.size + rCtx.size, StageTimes(otherMs = totalMs)))
   }
-
-  /** Filter → Deduplicate: the head of every branch. */
-  private def filterDedup(ctx: TableContext, pred: Pred, cfg: DedupConfig): DedupOutcome =
-    Deduplicate.run(ctx, ctx.rows.where(pred.toColumn).select(Tokenizer.EidCol), cfg)
 
   /** Group-Entities → Project → answer: the tail of every SP query. */
   private def groupAnswer(out: DedupOutcome, projection: Seq[String]): DataFrame = {

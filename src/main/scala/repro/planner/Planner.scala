@@ -42,19 +42,20 @@ object Planner {
   /** Cost-based placement for a two-table dedupe join: estimate the
     * comparisons of each branch from the ER statistics and deduplicate
     * the cheaper branch first (paper Table 5 / §7.2.1.ii). Ties break to
-    * the left branch for determinism. `useLinkIndex` is the statement's:
-    * the Link Index's resolved entities are priced out only when it is on.
+    * the left branch for determinism.
     */
   def planJoin(
       lCtx: TableContext, lPred: Pred,
       rCtx: TableContext, rPred: Pred,
       mb: MbConfig = MbConfig.All,
-      useLinkIndex: Boolean = true,
   ): JoinPlan =
     plan(lCtx, Statistics.selectedSet(lCtx, lPred), rCtx, Statistics.selectedSet(rCtx, rPred),
-      mb, useLinkIndex)
+      mb, useLinkIndex = true)
 
-  /** [[planJoin]] over the branches' selected sets. */
+  /** [[planJoin]] over the branches' selected sets. `useLinkIndex` is the
+    * statement's: the Link Index's resolved entities are priced out only
+    * when it is on.
+    */
   def plan(
       lCtx: TableContext, lSelected: Set[Long],
       rCtx: TableContext, rSelected: Set[Long],

@@ -22,8 +22,7 @@ object Statistics {
   /** Entities selected by the predicate, derived from blocking keys where
     * the predicate carries literals and by evaluating the filter otherwise
     * (ranges/MOD — cheap at registration time; the paper's estimator only
-    * covers literal conditions). Without a literal it is the predicate's
-    * exact QE ([[isExact]]), which the executor reuses.
+    * covers literal conditions).
     */
   def selectedSet(ctx: TableContext, pred: Pred): Set[Long] = {
     val spark = ctx.spark
@@ -48,16 +47,6 @@ object Statistics {
     }
   }
 
-  /** Whether [[selectedSet]] is exactly the entities the predicate
-    * selects: it is unless the predicate carries an `=` or `IN` literal.
-    */
-  def isExact(pred: Pred): Boolean = pred match {
-    case _: EqPred | _: InPred => false
-    case AndPred(l, r)         => isExact(l) && isExact(r)
-    case OrPred(l, r)          => isExact(l) && isExact(r)
-    case _                     => true
-  }
-
   /** Estimated number of comparisons the Deduplicate operator would
     * execute for the `selected` entities (post BP+BF, pre EP): over the
     * entities it would leave unresolved (the Link Index's resolved ones
@@ -67,8 +56,8 @@ object Statistics {
   def estimateComparisons(
       ctx: TableContext,
       selected: Set[Long],
-      mb: MbConfig = MbConfig.All,
-      useLinkIndex: Boolean = true,
+      mb: MbConfig,
+      useLinkIndex: Boolean,
   ): Long = {
     val unresolved = if (useLinkIndex) selected.filterNot(ctx.li.isResolved) else selected
     ctx.blockIndex(mb).restrict(unresolved).estimatedComparisons

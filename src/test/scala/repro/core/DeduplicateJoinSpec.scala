@@ -104,4 +104,27 @@ class DeduplicateJoinSpec extends SparkSpec {
     assert(byRank.schema == byRankExpected.schema)
     assert(byRank.collect().toSet == byRankExpected.collect().toSet && byRank.count() == 3)
   }
+
+  test("a join on the entity id reduces the dirty side and matches its Catalyst reference") {
+    import spark.implicits._
+    val l = TableContext("le", Seq[(Long, Option[Int], String)](
+      (1L, Some(10), "a"), (2L, Some(11), "b"), (3L, Some(99), "c"), (4L, None, "d")).toDF("eid", "vid", "a"))
+    val r = TableContext("re", Seq((10L, "EDBT"), (11L, "Extending DB Tech"), (12L, "VLDB")).toDF("eid", "title"))
+    // the reduction reads the entity id on either side
+    val (_, rightDr) = DeduplicateJoin.dirtyRight(Deduplicate.run(l, Set(1L, 3L), cfg), r, lit(true), "vid", "eid", cfg)
+    assert(rightDr.qeIds == Set(10L))
+    val (leftDr, _) = DeduplicateJoin.dirtyLeft(l, lit(true), Deduplicate.run(r, Set(11L, 12L), cfg), "vid", "eid", cfg)
+    assert(leftDr.qeIds == Set(2L))
+    // V10 ≡ V11: both ids join cluster 10, at cluster granularity
+    def outcome(ctx: TableContext, clusterOf: Map[Long, Long]) =
+      DedupOutcome(ctx, clusterOf.keySet, clusterOf, Nil, DedupStats(0, 0, 0, 0, 0, StageTimes(), None))
+    val lOut = outcome(l, Map(1L -> 1L, 2L -> 2L, 3L -> 3L, 4L -> 4L))
+    val rOut = outcome(r, Map(10L -> 10L, 11L -> 10L, 12L -> 12L))
+    val joined   = DeduplicateJoin.joinOperation(lOut, rOut, "vid", "eid")
+    val expected = CatalystReference.joinOperation(lOut, rOut, "vid", "eid")
+    assert(joined.schema == expected.schema)
+    assert(joined.collect().toSet == expected.collect().toSet)
+    assert(joined.select("lcluster", "rcluster").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq ==
+      Seq((1L, 10L), (2L, 10L)))
+  }
 }

@@ -13,7 +13,7 @@ class StatisticsSpec extends SparkSpec with PropSupport {
   private def vCtx = TableContext("vStat", MotivatingExample.venues(spark))
 
   private def estimate(ctx: TableContext, pred: Pred, mb: MbConfig = MbConfig.All): Long =
-    Statistics.estimateComparisons(ctx, Statistics.selectedSet(ctx, pred), mb)
+    Statistics.estimateComparisons(ctx, Statistics.selectedSet(ctx, pred), mb, useLinkIndex = true)
 
   test("selectedSet from an equality literal uses the literal's blocking keys") {
     val s = Statistics.selectedSet(pCtx, EqPred("venue", "EDBT"))
@@ -91,10 +91,12 @@ class StatisticsSpec extends SparkSpec with PropSupport {
     // plan must price them too, whatever an earlier statement resolved
     val (p, v) = (pCtx, vCtx)
     val edbt   = EqPred("venue", "EDBT")
-    val fresh  = Planner.planJoin(p, edbt, v, TruePred, useLinkIndex = false)
+    def plan(useLinkIndex: Boolean) = Planner.plan(p, Statistics.selectedSet(p, edbt),
+      v, Statistics.selectedSet(v, TruePred), MbConfig.All, useLinkIndex)
+    val fresh  = plan(useLinkIndex = false)
     Deduplicate.run(p, Set(1L, 6L, 8L), DedupConfig()) // LI on: resolves the EDBT papers
-    assert(Planner.planJoin(p, edbt, v, TruePred).estLeftComparisons == 0)
-    assert(Planner.planJoin(p, edbt, v, TruePred, useLinkIndex = false) == fresh)
+    assert(plan(useLinkIndex = true).estLeftComparisons == 0)
+    assert(plan(useLinkIndex = false) == fresh)
     val spec = JoinSpec(SelectSpec("p", edbt), SelectSpec("v", TruePred), "venue", "title")
     val (_, stats) = Executor.runJoin(p, v, spec, AdvancedPlanner, DedupConfig(useLinkIndex = false))
     assert(stats.plan.contains(fresh) && fresh.estLeftComparisons > 0)
