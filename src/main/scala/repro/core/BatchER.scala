@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, functions => F}
+import org.apache.spark.sql.Column
 import repro.metrics.Measures
 
 /** Result of a full batch deduplication of one table (the paper's D').
@@ -21,9 +21,7 @@ final case class BatchResult(full: DedupOutcome, elapsedMs: Long) {
     * has both ends there.
     */
   def outcome(pred: Column): DedupOutcome = {
-    val spark = ctx.spark
-    import spark.implicits._
-    val qe      = ctx.rows.where(pred).select(Tokenizer.EidCol).as[Long].collect().toSet
+    val qe      = ctx.idsWhere(pred)
     val touched = qe.map(clusterOf)
     val dr      = clusterOf.filter { case (_, c) => touched(c) }
     // every entity was resolved by the batch run, so none is unresolved
@@ -44,12 +42,7 @@ object BatchER {
   def run(ctx: TableContext, cfg: DedupConfig = DedupConfig()): BatchResult = {
     val runCfg = cfg.copy(useLinkIndex = false, computePc = false)
     ctx.batchMemo.getOrElseUpdate(runCfg, {
-      val spark = ctx.spark
-      import spark.implicits._
-      val (outcome, ms) = Measures.timed {
-        val allIds = ctx.rows.select(F.col(Tokenizer.EidCol)).as[Long].collect().toSet
-        Deduplicate.run(ctx, allIds, runCfg)
-      }
+      val (outcome, ms) = Measures.timed(Deduplicate.run(ctx, ctx.profiles.keySet.toSet, runCfg))
       BatchResult(outcome, ms)
     })
   }

@@ -57,14 +57,14 @@ final case class DedupOutcome(
 ) {
   def drIds: Set[Long] = clusterOf.keySet
 
-  /** Entity rows of the DR set. */
-  def drRows: DataFrame = ctx.rowsOf(drIds)
+  /** Entity rows of the DR set: a filter on the cached rows. */
+  def drRows: DataFrame = ctx.rows.where(TableContext.isIn(ctx.spark.sparkContext.broadcast(drIds)))
 
-  /** The DR set's profiles (`TableContext.profiles`), collected once:
-    * Deduplicate-Join reads them to reduce the dirty side and to join.
+  /** The DR set's profiles, looked up in the table's driver-side profiles
+    * ([[TableContext.profiles]]): Group-Entities folds them, for an SP
+    * answer and for each side of Deduplicate-Join.
     */
-  lazy val drProfiles: Array[(Long, Array[String])] =
-    TableContext.profiles(drRows, ctx.attrs).collect()
+  lazy val drProfiles: Array[(Long, Array[String])] = drIds.iterator.map(id => id -> ctx.profiles(id)).toArray
 }
 
 /** The Deduplicate operator (paper §6.1): Query Blocking → Block-Join →
@@ -80,12 +80,8 @@ final case class DedupOutcome(
 object Deduplicate {
   import Tokenizer.EidCol
 
-  def run(ctx: TableContext, qe: DataFrame, cfg: DedupConfig = DedupConfig()): DedupOutcome = {
-    val spark = ctx.spark
-    import spark.implicits._
-    val qeIds = qe.select(F.col(EidCol).cast("long")).as[Long].collect().toSet
-    run(ctx, qeIds, cfg)
-  }
+  def run(ctx: TableContext, qe: DataFrame, cfg: DedupConfig = DedupConfig()): DedupOutcome =
+    run(ctx, qe.select(F.col(EidCol).cast("long")).collect().map(_.getLong(0)).toSet, cfg)
 
   def run(ctx: TableContext, qeIds: Set[Long], cfg: DedupConfig): DedupOutcome = {
     // LI short-circuit: only entities whose link-sets are not yet known

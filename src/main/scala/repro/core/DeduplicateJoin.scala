@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Row, functions => F}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 import scala.jdk.CollectionConverters._
@@ -12,8 +12,8 @@ import scala.jdk.CollectionConverters._
   * resolved side (Alg. 1 line 4), then resolved with the Deduplicate
   * operator, and finally the two DR sets are joined at duplicate-cluster
   * granularity so every variant of an entity's values can satisfy the join
-  * predicate (Alg. 2). Both joins read the DR sets' collected profiles
-  * ([[DedupOutcome.drProfiles]]) on the driver; no join is planned in Spark.
+  * predicate (Alg. 2). Both joins read the tables' driver-side profiles
+  * ([[TableContext.profiles]]); no join is planned in Spark.
   */
 object DeduplicateJoin {
   import Tokenizer.EidCol
@@ -48,7 +48,7 @@ object DeduplicateJoin {
 
   /** QE' of the dirty side: its filtered entities that equi-join with any
     * join-attribute variant present in the resolved side's DR (Alg. 1).
-    * The variants reach the filter as a broadcast set: one Spark job.
+    * One Spark job, the filter; the join values are read on the driver.
     */
   private def reduceDirtySide(
       resolved: DedupOutcome,
@@ -57,27 +57,30 @@ object DeduplicateJoin {
       dirtyPred: Column,
       dirtyAttr: String,
   ): Set[Long] = {
-    val values = dirtyCtx.spark.sparkContext.broadcast(joinValues(resolved, resolvedAttr).map(_._2).toSet)
-    try {
-      val joins = F.udf((v: String) => v != null && values.value.contains(v))
-      dirtyCtx.rows.where(dirtyPred && joins(F.col(dirtyAttr).cast("string")))
-        .select(F.col(EidCol).cast("long")).collect().map(_.getLong(0)).toSet
-    } finally values.destroy()
+    // `values` holds no blank or null value, so neither matches
+    val values  = joinValues(resolved, resolvedAttr).map(_._2).toSet
+    val valueOf = joinValue(dirtyCtx, dirtyAttr)
+    dirtyCtx.idsWhere(dirtyPred).filter(id => values(valueOf(id)))
   }
 
+  /** The join value on `attr` of an entity of `ctx`, by id. The entity id
+    * joins as its string, as a cast column would.
+    */
+  private def joinValue(ctx: TableContext, attr: String): Long => String =
+    if (attr.equalsIgnoreCase(EidCol)) _.toString
+    else {
+      val i = ctx.attrs.indexWhere(_.equalsIgnoreCase(attr))
+      require(i >= 0, s"unknown join attribute '$attr' of table ${ctx.name}")
+      val store = ctx.profiles
+      id => store(id)(i)
+    }
+
   /** `(cluster, join value)` of every DR entity whose `attr` value is not
-    * blank: the value variants Alg. 2 joins on. The entity id joins as
-    * its string, as a cast column would.
+    * blank: the value variants Alg. 2 joins on.
     */
   private def joinValues(side: DedupOutcome, attr: String): Seq[(Long, String)] = {
-    val value: (Long, Array[String]) => String =
-      if (attr.equalsIgnoreCase(EidCol)) (id, _) => id.toString
-      else {
-        val i = side.ctx.attrs.indexWhere(_.equalsIgnoreCase(attr))
-        require(i >= 0, s"unknown join attribute '$attr' of table ${side.ctx.name}")
-        (_, vs) => vs(i)
-      }
-    side.drProfiles.toSeq.map { case (id, vs) => (side.clusterOf.getOrElse(id, id), value(id, vs)) }
+    val valueOf = joinValue(side.ctx, attr)
+    side.clusterOf.toSeq.map { case (id, cluster) => (cluster, valueOf(id)) }
       .filter { case (_, v) => GroupEntities.nonBlank(v) }
   }
 

@@ -114,8 +114,6 @@ object Similarity {
     * value ("dus" vs "dorlex university of springfield") — a common
     * surface-form pattern in organisation/venue names.
     */
-  def acronymSim(a: String, b: String): Double = acronym(meTokens(a), meTokens(b))
-
   private def acronym(ta: Array[String], tb: Array[String]): Double = {
     def oneWay(short: Array[String], long: Array[String]): Double =
       if (short.length == 1 && long.length >= 3) {

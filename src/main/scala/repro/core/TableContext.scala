@@ -5,10 +5,12 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, SparkSession, functions => F}
 import org.apache.spark.storage.StorageLevel
 
+import scala.collection.mutable
+
 /** Per-table state mirroring the paper's once-off initialisation (§3):
-  * the cached entity rows, the Table Block Index TBI_E (with its block
-  * sizes, i.e. the sorted ITBI view), and the Link Index LI_E. Built once
-  * when a table is registered; shared by every query against the table.
+  * the cached entity rows and profiles, the Table Block Index TBI_E (with
+  * its block sizes, i.e. the sorted ITBI view), and the Link Index LI_E.
+  * Built once when a table is registered; shared by every query on it.
   *
   * @param truth optional ground-truth `(eid, cluster)` table from the
   *              dirty-data generator, used only by the PC measure.
@@ -36,11 +38,21 @@ final class TableContext(
   /** Entity rows, cached — queries repeatedly scan them. */
   lazy val rows: DataFrame = materialise(df)
 
-  /** The entity rows of `ids`: a filter on the cached rows. The ids reach
-    * the tasks as a broadcast variable, which Spark's context cleaner
-    * releases once the rows are unreachable.
+  /** The ids of the entities that pass `pred`: one Spark job. */
+  def idsWhere(pred: Column): Set[Long] =
+    rows.where(pred).select(F.col(EidCol).cast("long")).collect().map(_.getLong(0)).toSet
+
+  private var profileStore: mutable.LongMap[Array[String]] = null
+
+  /** Every entity's profile ([[TableContext.profiles]]) by id, held on the
+    * driver as the paper keeps its entities in memory (§3): collected once
+    * per table, with one Spark job. Statements read entities by id here.
     */
-  def rowsOf(ids: Set[Long]): DataFrame = rows.where(TableContext.isIn(spark.sparkContext.broadcast(ids)))
+  def profiles: collection.Map[Long, Array[String]] = synchronized {
+    if (profileStore == null)
+      profileStore = mutable.LongMap.from(TableContext.profiles(rows, attrs).collect())
+    profileStore
+  }
 
   /** TBI_E as `(eid, token)` entity/block incidence pairs. */
   lazy val tbi: DataFrame = materialise(Tokenizer.tokenize(rows))
@@ -111,12 +123,13 @@ final class TableContext(
   def resetLinkIndex(): Unit = li.clear()
 
   /** Release the cached indices, the refined TBIs and their driver-side
-    * block indices included.
+    * block indices included, and the driver-side profiles.
     */
   def unpersistAll(): Unit = {
     retainedMemo.values.foreach(_.unpersist())
     retainedMemo.clear()
     indexMemo.clear()
+    synchronized { profileStore = null }
     blockSizes.unpersist(); tbi.unpersist(); rows.unpersist()
   }
 }
@@ -127,7 +140,7 @@ object TableContext {
   def apply(name: String, df: DataFrame, truth: Option[DataFrame] = None): TableContext =
     new TableContext(name, df, truth)
 
-  /** Whether the entity id is one of `ids`. */
+  /** Whether the entity id is one of the broadcast `ids`. */
   def isIn(ids: Broadcast[Set[Long]]): Column =
     F.udf((id: Long) => ids.value.contains(id)).apply(F.col(EidCol))
 

@@ -122,10 +122,11 @@ object DirtyGen {
 
   // ---------------------------------------------------------------- Spark generation helpers
 
-  /** Deterministic pool pick keyed on the original-record id. */
+  /** Deterministic pool pick keyed on the original-record id. The pool is
+    * held in a UDF closure, not a literal, so a plan ships each pool once.
+    */
   private def pick(pool: Array[String], oid: Column, salt: Int): Column =
-    element_at(typedLit(pool.toSeq),
-      (pmod(xxhash64(oid, lit(salt)), lit(pool.length)) + 1).cast("int"))
+    udf((i: Int) => pool(i)).apply(hashInt(oid, salt, pool.length))
 
   private def hashInt(oid: Column, salt: Int, mod: Int): Column =
     pmod(xxhash64(oid, lit(salt)), lit(mod)).cast("int")

@@ -4,6 +4,8 @@ import org.apache.spark.sql.{DataFrame, functions => F}
 import repro.core._
 import repro.metrics.Measures
 
+import scala.jdk.CollectionConverters._
+
 /** Measurements of a full dedupe-query evaluation. */
 final case class ExecStats(
     totalMs: Long,
@@ -32,7 +34,7 @@ object Executor {
       cfg: DedupConfig = DedupConfig(),
   ): (DataFrame, ExecStats) = {
     val ((outcome, (result, groupMs)), totalMs) = Measures.timed {
-      val out = Deduplicate.run(ctx, ctx.rows.where(spec.pred.toColumn).select(Tokenizer.EidCol), cfg)
+      val out = Deduplicate.run(ctx, ctx.idsWhere(spec.pred.toColumn), cfg)
       (out, Measures.timed(groupAnswer(out, spec.projection)))
     }
     val s = outcome.stats
@@ -85,7 +87,7 @@ object Executor {
         case CleanFirst(side) => (None, Some(side))
       }
       def clean(ctx: TableContext, side: SelectSpec): DedupOutcome =
-        Deduplicate.run(ctx, ctx.rows.where(side.pred.toColumn).select(Tokenizer.EidCol), cfg)
+        Deduplicate.run(ctx, ctx.idsWhere(side.pred.toColumn), cfg)
       val (lOut, rOut) = first match {
         case None => (clean(lCtx, spec.left), clean(rCtx, spec.right))
         case Some(LeftSide) => DeduplicateJoin.dirtyRight(
@@ -126,23 +128,18 @@ object Executor {
       lCtx.size + rCtx.size, lCtx.size + rCtx.size, StageTimes(otherMs = totalMs)))
   }
 
-  /** Group-Entities → Project → answer: the tail of every SP query. */
+  /** Group-Entities → Project: the tail of every SP query; driver-local. */
   private def groupAnswer(out: DedupOutcome, projection: Seq[String]): DataFrame = {
-    val grouped = GroupEntities.group(out.drRows, out.clusterOf, out.ctx.attrs)
-    answer(if (projection.isEmpty) grouped else grouped.select(projection.map(F.col): _*))
+    val attrs   = out.ctx.attrs
+    val grouped = out.ctx.spark.createDataFrame(
+      GroupEntities.fold(out.drProfiles, out.clusterOf, attrs).asJava, GroupEntities.schema(attrs))
+    if (projection.isEmpty) grouped else grouped.select(projection.map(F.col): _*)
   }
 
-  /** Deduplicate-Join → Project → answer: the tail of every SPJ query. */
+  /** Deduplicate-Join → Project: the tail of every SPJ query; driver-local. */
   private def joinAnswer(l: DedupOutcome, r: DedupOutcome, spec: JoinSpec): DataFrame = {
     val joined = DeduplicateJoin.joinOperation(l, r, spec.leftAttr, spec.rightAttr)
-    answer(
-      if (spec.projection.isEmpty) joined
-      else joined.select(spec.projection.map { case (t, a) => F.col(s"${t}_$a") }: _*))
+    if (spec.projection.isEmpty) joined
+    else joined.select(spec.projection.map { case (t, a) => F.col(s"${t}_$a") }: _*)
   }
-
-  /** The answer, collected once and returned as a driver-local DataFrame:
-    * collecting it again launches no Spark job, and no storage stays cached.
-    */
-  private def answer(df: DataFrame): DataFrame =
-    df.sparkSession.createDataFrame(df.collectAsList(), df.schema)
 }

@@ -22,28 +22,25 @@ object Statistics {
   /** Entities selected by the predicate, derived from blocking keys where
     * the predicate carries literals and by evaluating the filter otherwise
     * (ranges/MOD — cheap at registration time; the paper's estimator only
-    * covers literal conditions).
+    * covers literal conditions); no predicate selects every profile.
     */
   def selectedSet(ctx: TableContext, pred: Pred): Set[Long] = {
-    val spark = ctx.spark
-    import spark.implicits._
     def byTokens(tokens: Seq[String]): Set[Long] =
       if (tokens.isEmpty) Set.empty
       else {
         // an equality literal's tokens must ALL block the entity
         val sets = tokens.map { t =>
-          ctx.tbi.where(F.col("token") === t).select(EidCol).as[Long].collect().toSet
+          ctx.tbi.where(F.col("token") === t).select(EidCol).collect().map(_.getLong(0)).toSet
         }
         sets.reduce(_ intersect _)
       }
     pred match {
-      case TruePred        => ctx.rows.select(EidCol).as[Long].collect().toSet
+      case TruePred        => ctx.profiles.keySet.toSet
       case EqPred(_, v)    => byTokens(Tokenizer.tokensOf(v))
       case InPred(_, vs)   => vs.map(v => byTokens(Tokenizer.tokensOf(v))).foldLeft(Set.empty[Long])(_ union _)
       case AndPred(l, r)   => selectedSet(ctx, l) intersect selectedSet(ctx, r)
       case OrPred(l, r)    => selectedSet(ctx, l) union selectedSet(ctx, r)
-      case other           =>
-        ctx.rows.where(other.toColumn).select(EidCol).as[Long].collect().toSet
+      case other           => ctx.idsWhere(other.toColumn)
     }
   }
 

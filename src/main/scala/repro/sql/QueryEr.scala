@@ -1,7 +1,7 @@
 package repro.sql
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{DedupConfig, TableContext}
+import repro.core.{DedupConfig, TableContext, Tokenizer}
 import repro.planner._
 
 /** Programmatic facade of the QueryER framework: register dirty tables,
@@ -32,22 +32,24 @@ object QueryEr {
     DedupSqlParser.parse(spark, sqlText) match {
       case DedupSqlParser.ParsedSelect(spec) =>
         val ctx = TableRegistry(spec.table)
-        spec.projection.foreach(requireColumn(ctx, _, "cluster", "members"))
+        spec.projection.foreach(requireColumn(ctx, _, "SELECT", "cluster", "members"))
         Executor.runSelect(ctx, spec, cfg)
       case DedupSqlParser.ParsedJoin(spec) =>
         val (l, r) = (TableRegistry(spec.left.table), TableRegistry(spec.right.table))
+        requireColumn(l, spec.leftAttr, "ON", Tokenizer.EidCol)
+        requireColumn(r, spec.rightAttr, "ON", Tokenizer.EidCol)
         // each side's `cluster` is renamed in the joined answer
         for ((t, a) <- spec.projection)
-          requireColumn(if (t.equalsIgnoreCase(spec.left.table)) l else r, a, "members")
+          requireColumn(if (t.equalsIgnoreCase(spec.left.table)) l else r, a, "SELECT", "members")
         Executor.runJoin(l, r, spec, kind, cfg)
     }
 
-  /** Reject a SELECT column the answer lacks before any ER runs (matched
-    * case-insensitively, as Spark resolves it).
+  /** Reject a column of `clause` that the table or the answer lacks before
+    * any ER runs (matched case-insensitively, as Spark resolves it).
     */
-  private def requireColumn(ctx: TableContext, col: String, extra: String*): Unit = {
+  private def requireColumn(ctx: TableContext, col: String, clause: String, extra: String*): Unit = {
     val cols = ctx.attrs ++ extra
     require(cols.exists(_.equalsIgnoreCase(col)),
-      s"unknown column '$col' in SELECT: table ${ctx.name} has ${cols.mkString(", ")}")
+      s"unknown column '$col' in $clause: table ${ctx.name} has ${cols.mkString(", ")}")
   }
 }

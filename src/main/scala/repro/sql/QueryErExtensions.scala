@@ -12,9 +12,8 @@ import org.apache.spark.sql.types.{DataType, StructType}
   *
   * A delegating [[ParserInterface]] intercepts statements that start with
   * `SELECT DEDUP` and evaluates them with the Deduplicate /
-  * Deduplicate-Join / Group-Entities operators (Catalyst compositions of
-  * joins, windows and aggregates); the returned logical plan is the
-  * materialised answer, a local relation. Every other statement
+  * Deduplicate-Join / Group-Entities operators; the returned logical plan
+  * is the materialised answer, a local relation. Every other statement
   * is delegated to Spark's parser verbatim, preserving standard SQL
   * semantics exactly as the paper requires ("otherwise the typical SQL
   * semantics are used", §3).

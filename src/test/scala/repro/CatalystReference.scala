@@ -1,12 +1,17 @@
 package repro
 
+import java.util.Locale
+
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, functions => F}
 import repro.core._
 
-/** The Catalyst forms of Block-Join, of the planner's comparison estimate
-  * and of Deduplicate-Join's cluster-level join, which the driver-side
-  * refined TBI and the collected DR profiles replaced in the operators.
-  * Tests check the operators against them.
+import scala.collection.mutable
+
+/** The Catalyst forms of Block-Join, of the planner's comparison estimate,
+  * of Comparison-Execution and of Deduplicate-Join's cluster-level join,
+  * which the driver-side refined TBI and the driver-side profiles replaced
+  * in the operators. Tests check the operators against them.
   */
 object CatalystReference {
   import Tokenizer.EidCol
@@ -29,6 +34,33 @@ object CatalystReference {
       .agg(F.sum(F.col("q") * (F.col("n") - (F.col("q") + 1) / 2.0)).as("c"))
       .collect()(0)
     if (est.isNullAt(0)) 0L else math.max(0L, math.round(est.getDouble(0)))
+  }
+
+  /** Comparison-Execution with RDD shuffle joins: each pair is joined with
+    * the profiles of both its entities, drawn from the rows of `entities`
+    * filtered by id, and compared. Returns the executed comparisons and
+    * the matched `(aid, bid)` links.
+    */
+  def comparisons(ctx: TableContext, pairs: RDD[Edge], entities: Set[Long], threshold: Double)
+      : (Long, Seq[(Long, Long)]) = {
+    val sc       = ctx.spark.sparkContext
+    val freq     = sc.broadcast(ctx.valueFreq)
+    val profiles = TableContext.profiles(ctx.rows.where(TableContext.isIn(sc.broadcast(entities))), ctx.attrs)
+    val perPartition = pairs.map(e => (e.aid, e.bid)).join(profiles)
+      .map { case (a, (b, pa)) => (b, (a, pa)) }.join(profiles)
+      .mapPartitions { it =>
+        val f = freq.value
+        val lookup = (v: String) => if (v == null) 1L else f.getOrElse(v.toLowerCase(Locale.ROOT), 1L)
+        var n     = 0L
+        val links = mutable.ArrayBuffer.empty[(Long, Long)]
+        for ((b, ((a, pa), pb)) <- it) {
+          n += 1
+          if (Similarity.profileSimilarity(pa, pb, lookup) >= threshold) links += ((a, b))
+        }
+        Iterator((n, links.toSeq))
+      }
+      .collect()
+    (perPartition.map(_._1).sum, perPartition.flatMap(_._2).toSeq)
   }
 
   /** Deduplicate-Join's cluster-level join as sort-merge joins of the two

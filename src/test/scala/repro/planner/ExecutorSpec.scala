@@ -2,7 +2,7 @@ package repro.planner
 
 import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{JobCounter, Oracle, SparkSpec}
 import repro.core._
 import repro.benchrun.Experiments
 import repro.data.{Datasets, MotivatingExample, Workload}
@@ -41,6 +41,14 @@ class ExecutorSpec extends SparkSpec {
       val counts = Seq.fill(4)(compiledByOneRun())
       assert(counts.last <= 5, s"classes compiled per run: ${counts.mkString(", ")}")
     } finally ctx.unpersistAll()
+  }
+
+  test("runSelect launches 3 Spark jobs: the filter, Edge Pruning and Comparison-Execution") {
+    val ctx   = Experiments.warm(pCtx)
+    val sites = JobCounter.sites(spark, "runSelect-jobs") {
+      Executor.runSelect(ctx, SelectSpec("p", EqPred("venue", "EDBT")), cfg)._1.collect()
+    }
+    assert(sites.size == 3, sites.mkString("; "))
   }
 
   test("runSelect respects the projection") {
@@ -139,6 +147,20 @@ class ExecutorSpec extends SparkSpec {
     try {
       val counts = Seq.fill(4)(compiledByOneRun())
       assert(counts.last <= 5, s"classes compiled per run: ${counts.mkString(", ")}")
+    } finally { ppl.unpersistAll(); oao.unpersistAll() }
+  }
+
+  test("an AES join over a range predicate launches at most 8 Spark jobs") {
+    val ppl  = Experiments.warm(Datasets.ppl(spark, 500).toContext)
+    val oao  = Experiments.warm(Datasets.oao(spark, 300).toContext)
+    val spec = JoinSpec(SelectSpec("ppl", RangePred("byear", 1900, 1919)), SelectSpec("oao", TruePred),
+      "org", "orgname")
+    try {
+      val sites = JobCounter.sites(spark, "runJoin-jobs") {
+        Executor.runJoin(ppl, oao, spec, AdvancedPlanner, cfg)._1.collect()
+      }
+      info(sites.mkString("; "))
+      assert(sites.size <= 8, sites.mkString("; "))
     } finally { ppl.unpersistAll(); oao.unpersistAll() }
   }
 

@@ -1,6 +1,6 @@
 package repro.planner
 
-import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop
 import org.scalacheck.Prop.propBoolean
 import repro.{CatalystReference, PropSupport, SparkSpec}
 import repro.core._
@@ -101,25 +101,6 @@ class StatisticsSpec extends SparkSpec with PropSupport {
     val (_, stats) = Executor.runJoin(p, v, spec, AdvancedPlanner, DedupConfig(useLinkIndex = false))
     assert(stats.plan.contains(fresh) && fresh.estLeftComparisons > 0)
     assert(stats.sideComparisons.exists(_._1 > 0))
-  }
-
-  /** A random two-attribute table: a few common tokens, which Block
-    * Purging and Block Filtering act on, over a tail of rarer ones; some
-    * values null. With a random query set.
-    */
-  private val randomTable: Gen[(Seq[(Long, String, String)], Set[Long])] = {
-    val words = Vector("aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh", "ii", "jj", "kk", "ll")
-    val value = for {
-      common <- Gen.listOfN(3, Gen.prob(0.85))
-      rare   <- Gen.listOfN(words.size - 3, Gen.prob(0.12))
-      isNull <- Gen.prob(0.1)
-    } yield Option.unless(isNull)(words.zip(common ++ rare).collect { case (w, true) => w }.mkString(" "))
-    for {
-      n     <- Gen.choose(8, 60)
-      rows  <- Gen.listOfN(n, Gen.zip(value, value))
-      query <- Gen.listOfN(n, Gen.prob(0.3))
-    } yield (rows.zipWithIndex.map { case ((a, b), i) => (i.toLong, a.orNull, b.orNull) },
-      query.zipWithIndex.collect { case (true, i) => i.toLong }.toSet)
   }
 
   test("property: the driver estimate and pairs equal the Catalyst EQBI's under every MbConfig") {

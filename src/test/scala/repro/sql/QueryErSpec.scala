@@ -96,6 +96,20 @@ class QueryErSpec extends SparkSpec {
       cfg = DedupConfig(useLinkIndex = false)).columns.length == 3)
   }
 
+  test("an unknown ON column is rejected before ER touches either Link Index") {
+    registerExample()
+    val lis = Seq(TableRegistry("p").li, TableRegistry("v").li)
+    for (sql <- Seq(
+        "SELECT DEDUP * FROM p JOIN v ON p.nosuch = v.title WHERE p.venue = 'EDBT'",
+        "SELECT DEDUP * FROM p JOIN v ON p.venue = v.nosuch WHERE p.venue = 'EDBT'")) {
+      intercept[IllegalArgumentException](QueryEr.sql(spark, sql))
+      assert(lis.forall(li => li.resolvedCount == 0 && li.linkCount == 0), sql)
+    }
+    // the entity id joins, in any case
+    assert(QueryEr.sql(spark, "SELECT DEDUP * FROM p JOIN v ON p.EID = v.eid WHERE p.venue = 'EDBT'",
+      cfg = DedupConfig(useLinkIndex = false)).columns.nonEmpty)
+  }
+
   test("sqlWithStats exposes executed comparisons") {
     registerExample()
     val (_, stats) = QueryEr.sqlWithStats(spark, "SELECT DEDUP * FROM p WHERE venue = 'EDBT'",
